@@ -13,6 +13,12 @@
 //  * two_layer_mt<N>  — with --threads N: one task's shard plan through
 //                       exec::ParallelKernelRunner on an N-thread pool.
 //
+// Packet mode is timed once per instruction-set build the CPU can execute
+// (mc::PacketIsa), through that build's own entry point, so one run
+// records e.g. both avx2 and avx512 rows; the threaded preset runs the
+// dispatched build, as every product caller does. Each JSON entry names
+// its build in "isa" ("baseline" for the scalar loop).
+//
 // Usage:
 //   bench_kernel                      human-readable table
 //   bench_kernel --json               ...plus BENCH_kernel.json in cwd
@@ -20,8 +26,10 @@
 //   bench_kernel --check BASE.json [--tolerance 0.2]
 //                                     exit 1 if any preset's best
 //                                     photons/sec fell >20% below the
-//                                     committed baseline (skips, exit 0,
-//                                     when the baseline file is absent)
+//                                     committed baseline entry with the
+//                                     same (name, mode, isa); entries on
+//                                     one side only are skipped, and so
+//                                     is a missing baseline file (exit 0)
 //   --photons N --reps R --quick --threads N --seed S
 //   --kernel-mode {scalar,packet,both}
 //                                     which photon loop(s) to measure
@@ -44,6 +52,7 @@
 #include "exec/parallel.hpp"
 #include "exec/threadpool.hpp"
 #include "mc/kernel.hpp"
+#include "mc/packet_kernel.hpp"
 #include "mc/presets.hpp"
 #include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
@@ -125,9 +134,27 @@ int main(int argc, char** argv) {
   bench::Report report;
   std::printf("bench_kernel: %llu photons/rep, %d reps (best-of shown)\n",
               static_cast<unsigned long long>(options.photons), options.reps);
+  const mc::PacketIsa dispatched = mc::dispatched_packet_isa();
+  std::vector<mc::PacketIsa> packet_isas;
+  std::printf("packet ISA: %s dispatched; builds this CPU runs:",
+              mc::to_string(dispatched).c_str());
+  for (const mc::PacketIsa isa : mc::kPacketIsas) {
+    if (!mc::packet_isa_supported(isa)) continue;
+    packet_isas.push_back(isa);
+    std::printf(" %s", mc::to_string(isa).c_str());
+  }
+  std::printf("\n");
+
+  const auto record = [&report](bench::PresetResult r) {
+    std::printf("  %-18s %-7s %-8s %10.0f photons/sec (median %10.0f)\n",
+                r.name.c_str(), r.mode.c_str(), r.isa.c_str(), r.best_pps,
+                r.median_pps);
+    report.presets.push_back(std::move(r));
+  };
 
   for (const mc::KernelMode mode : modes) {
     const std::string mode_name = mc::to_string(mode);
+    const bool packet = mode == mc::KernelMode::kPacket;
     const struct {
       const char* name;
       mc::Kernel kernel;
@@ -137,13 +164,26 @@ int main(int argc, char** argv) {
         {"white_matter", bare_kernel(mc::homogeneous_white_matter(), mode)},
         {"head_model", bare_kernel(mc::adult_head_model(), mode)},
     };
-    for (const auto& preset : presets) {
-      bench::PresetResult r =
-          bench::measure_preset(preset.name, preset.kernel, options);
-      r.mode = mode_name;
-      std::printf("  %-18s %-7s %10.0f photons/sec (median %10.0f)\n",
-                  r.name.c_str(), r.mode.c_str(), r.best_pps, r.median_pps);
-      report.presets.push_back(std::move(r));
+    // The scalar loop has one build; the packet loop one per PacketIsa.
+    std::vector<std::optional<mc::PacketIsa>> builds{std::nullopt};
+    if (packet) builds.assign(packet_isas.begin(), packet_isas.end());
+    for (const std::optional<mc::PacketIsa>& isa : builds) {
+      for (const auto& preset : presets) {
+        bench::PhotonRun run = preset.kernel.compiled_run();
+        if (isa) {
+          run = [&kernel = preset.kernel,
+                 build = mc::packet_isa_build(*isa).run](
+                    std::uint64_t photons, util::Xoshiro256pp& rng,
+                    mc::SimulationTally& tally) {
+            build(kernel, photons, rng, tally);
+          };
+        }
+        bench::PresetResult r =
+            bench::measure_preset(preset.name, preset.kernel, run, options);
+        r.mode = mode_name;
+        if (isa) r.isa = mc::to_string(*isa);
+        record(std::move(r));
+      }
     }
 
     if (const auto threads = args.get_int("threads", 0); threads > 1) {
@@ -152,9 +192,8 @@ int main(int argc, char** argv) {
           measure_sharded(name, presets[0].kernel,
                           static_cast<std::size_t>(threads), options);
       r.mode = mode_name;
-      std::printf("  %-18s %-7s %10.0f photons/sec (median %10.0f)\n",
-                  r.name.c_str(), r.mode.c_str(), r.best_pps, r.median_pps);
-      report.presets.push_back(std::move(r));
+      if (packet) r.isa = mc::to_string(dispatched);
+      record(std::move(r));
     }
   }
 

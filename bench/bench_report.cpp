@@ -29,9 +29,8 @@ PresetResult finalize_preset(std::string name, std::uint64_t photons,
 }
 
 PresetResult measure_preset(const std::string& name, const mc::Kernel& kernel,
+                            const PhotonRun& run,
                             const MeasureOptions& options) {
-  const mc::Kernel::CompiledRun run = kernel.compiled_run();
-
   {  // warm-up: prime code paths and allocations, then discard
     mc::SimulationTally tally = kernel.make_tally();
     util::Xoshiro256pp rng(options.seed ^ 0x9E3779B97F4A7C15ULL);
@@ -53,13 +52,14 @@ PresetResult measure_preset(const std::string& name, const mc::Kernel& kernel,
 
 void write_json(const Report& report, const std::string& path) {
   std::ostringstream out;
-  out << "{\n  \"benchmark\": \"bench_kernel\",\n  \"schema\": 2,\n"
+  out << "{\n  \"benchmark\": \"bench_kernel\",\n  \"schema\": 3,\n"
          "  \"unit\": \"photons_per_sec\",\n  \"presets\": [\n";
   for (std::size_t i = 0; i < report.presets.size(); ++i) {
     const PresetResult& p = report.presets[i];
     out << "    {\n";
     out << "      \"name\": \"" << p.name << "\",\n";
     out << "      \"mode\": \"" << p.mode << "\",\n";
+    out << "      \"isa\": \"" << p.isa << "\",\n";
     out << "      \"photons\": " << p.photons << ",\n";
     char buffer[64];
     std::snprintf(buffer, sizeof buffer, "%.1f", p.best_pps);
@@ -120,6 +120,13 @@ std::vector<BaselineEntry> read_baseline(const std::string& path) {
     std::size_t after_mode = after_name;
     std::string mode = scan_string(text, "mode", after_name, &after_mode);
     if (mode.empty() || after_mode > next_name) mode = "scalar";
+    // Schema v3 added "isa" the same way; older files had one packet
+    // build (AVX2) and the scalar loop at the default ISA.
+    std::size_t after_isa = after_name;
+    std::string isa = scan_string(text, "isa", after_name, &after_isa);
+    if (isa.empty() || after_isa > next_name) {
+      isa = mode == "packet" ? "avx2" : "baseline";
+    }
     const std::size_t value_key =
         text.find("\"photons_per_sec_best\"", after_name);
     if (value_key == std::string::npos || value_key > next_name) break;
@@ -127,7 +134,7 @@ std::vector<BaselineEntry> read_baseline(const std::string& path) {
     if (colon == std::string::npos) break;
     try {
       result.push_back(
-          BaselineEntry{name, mode, std::stod(text.substr(colon + 1))});
+          BaselineEntry{name, mode, isa, std::stod(text.substr(colon + 1))});
     } catch (const std::exception&) {
       // Malformed value (truncated/hand-edited file): treat the whole
       // baseline as unusable rather than aborting the bench run.
@@ -151,30 +158,47 @@ CheckResult check_against_baseline(const Report& report,
   }
   check.baseline_found = true;
 
+  const auto matches = [](const PresetResult& preset,
+                           const BaselineEntry& entry) {
+    return entry.name == preset.name && entry.mode == preset.mode &&
+           entry.isa == preset.isa;
+  };
   for (const PresetResult& preset : report.presets) {
     const auto it = std::find_if(
-        baseline.begin(), baseline.end(), [&](const BaselineEntry& entry) {
-          return entry.name == preset.name && entry.mode == preset.mode;
-        });
-    const std::string label = preset.name + "/" + preset.mode;
+        baseline.begin(), baseline.end(),
+        [&](const BaselineEntry& entry) { return matches(preset, entry); });
+    const std::string label =
+        preset.name + "/" + preset.mode + "/" + preset.isa;
     char line[256];
     if (it == baseline.end()) {
-      // Skip-if-absent, per (name, mode): a v2 binary run with
-      // --kernel-mode both checks cleanly against a v1 baseline that
-      // only ever recorded scalar numbers.
-      std::snprintf(line, sizeof line, "%-28s %10.0f pps (no baseline)",
-                    label.c_str(), preset.best_pps);
+      // Skip-if-absent, per (name, mode, isa): a binary run with
+      // --kernel-mode both checks cleanly against a baseline that never
+      // recorded this mode or ISA build.
+      std::snprintf(line, sizeof line,
+                    "%-34s %10.0f pps skipped (no baseline)", label.c_str(),
+                    preset.best_pps);
       check.lines.push_back(line);
       continue;
     }
     const double floor = (1.0 - tolerance) * it->best_pps;
     const bool regressed = preset.best_pps < floor;
     std::snprintf(line, sizeof line,
-                  "%-28s %10.0f pps vs baseline %10.0f (floor %10.0f) %s",
+                  "%-34s %10.0f pps vs baseline %10.0f (floor %10.0f) %s",
                   label.c_str(), preset.best_pps, it->best_pps, floor,
                   regressed ? "REGRESSED" : "ok");
     check.lines.push_back(line);
     if (regressed) check.regressions.push_back(label);
+  }
+  for (const BaselineEntry& entry : baseline) {
+    const bool measured = std::any_of(
+        report.presets.begin(), report.presets.end(),
+        [&](const PresetResult& preset) { return matches(preset, entry); });
+    if (measured) continue;
+    const std::string label = entry.name + "/" + entry.mode + "/" + entry.isa;
+    char line[256];
+    std::snprintf(line, sizeof line, "%-34s skipped (not measured here)",
+                  label.c_str());
+    check.lines.push_back(line);
   }
   return check;
 }

@@ -17,11 +17,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 namespace phodis::mc {
 class Kernel;
+class SimulationTally;
+}  // namespace phodis::mc
+
+namespace phodis::util {
+class Xoshiro256pp;
 }
 
 namespace phodis::bench {
@@ -29,6 +35,10 @@ namespace phodis::bench {
 struct PresetResult {
   std::string name;
   std::string mode = "scalar";  ///< kernel mode ("scalar" | "packet")
+  /// The instruction-set build that ran: "avx2" | "avx512" for packet
+  /// (mc::PacketIsa), "baseline" for the scalar loop, which is compiled
+  /// at the toolchain's default ISA.
+  std::string isa = "baseline";
   std::uint64_t photons = 0;  ///< photons per rep (pinned)
   double best_pps = 0.0;      ///< max photons/sec over reps (thresholded)
   double median_pps = 0.0;
@@ -46,8 +56,14 @@ struct MeasureOptions {
   std::uint64_t seed = 42;
 };
 
-/// Run `kernel` under the fixed-work protocol above.
+/// Simulate `photons` into the tally from the stream: one kernel entry
+/// point (Kernel::CompiledRun, or one packet ISA build's run).
+using PhotonRun = std::function<void(std::uint64_t, util::Xoshiro256pp&,
+                                     mc::SimulationTally&)>;
+
+/// Run `kernel` through `run` under the fixed-work protocol above.
 PresetResult measure_preset(const std::string& name, const mc::Kernel& kernel,
+                            const PhotonRun& run,
                             const MeasureOptions& options);
 
 /// Assemble a PresetResult from raw per-rep photons/sec samples (computes
@@ -60,12 +76,14 @@ PresetResult finalize_preset(std::string name, std::uint64_t photons,
 /// Serialize the report as pretty-printed JSON at `path`.
 void write_json(const Report& report, const std::string& path);
 
-/// One baseline entry, keyed by (name, mode). Schema-v1 files (no
-/// per-preset "mode" field) load with mode = "scalar", so a v2 binary
-/// checks cleanly against a v1 baseline.
+/// One baseline entry, keyed by (name, mode, isa). Schema-v1 files (no
+/// per-preset "mode" field) load with mode = "scalar"; files before
+/// schema v3 (no "isa" field) load packet entries as "avx2" — the only
+/// packet build there was — and scalar entries as "baseline".
 struct BaselineEntry {
   std::string name;
   std::string mode;
+  std::string isa;
   double best_pps = 0.0;
 };
 
@@ -82,9 +100,11 @@ struct CheckResult {
   std::vector<std::string> lines;
 };
 
-/// Compare `report` against a committed baseline JSON. A preset regresses
-/// when current best_pps < (1 - tolerance) * baseline best_pps. Presets
-/// present on only one side are reported but never fail the check.
+/// Compare `report` against a committed baseline JSON, entry by entry
+/// with equal (name, mode, isa). A preset regresses when current best_pps
+/// < (1 - tolerance) * baseline best_pps. Entries present on only one
+/// side (e.g. avx512 rows on a CPU without AVX-512) are reported as
+/// skipped and never fail the check.
 CheckResult check_against_baseline(const Report& report,
                                    const std::string& baseline_path,
                                    double tolerance);

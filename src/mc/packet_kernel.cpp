@@ -1,7 +1,9 @@
-// The batched photon loop. Compiled (with vmath.cpp) under scoped
-// -O3 -mavx2 -ffp-contract=off (see CMakeLists.txt): every "for all
-// lanes" loop below is written as straight-line branchless arithmetic
-// over fixed-width arrays so gcc auto-vectorizes it — no intrinsics.
+// The batched photon loop. Compiled (with vmath.cpp) once per PacketIsa
+// under scoped -O3 -ffp-contract=off plus that ISA's -m flags, each build
+// into the namespace PHODIS_PACKET_ISA names (see CMakeLists.txt and
+// packet_dispatch.cpp): every "for all lanes" loop below is written as
+// straight-line branchless arithmetic over fixed-width arrays so gcc
+// auto-vectorizes it — no intrinsics.
 //
 // Loop schedule (one iteration = one propagation event per active lane):
 //
@@ -44,7 +46,12 @@
 #include "obs/kernel_counters.hpp"
 #endif
 
-namespace phodis::mc {
+#if !defined(PHODIS_PACKET_ISA)
+// Built once per PacketIsa: PHODIS_PACKET_ISA names the build's namespace.
+#error "PHODIS_PACKET_ISA is not defined (see CMakeLists.txt)"
+#endif
+
+namespace phodis::mc::PHODIS_PACKET_ISA {
 
 namespace {
 
@@ -571,84 +578,4 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
 #endif
 }
 
-namespace {
-
-/// Conservative variance of a mean of per-photon contributions bounded in
-/// [0, 1] with sample mean p (Bhatia–Davis: var <= p(1-p)).
-double bounded_mean_var(double p, std::uint64_t n) noexcept {
-  if (n == 0) return 0.0;
-  const double pc = std::clamp(p, 0.0, 1.0);
-  return pc * (1.0 - pc) / static_cast<double>(n);
-}
-
-}  // namespace
-
-StatEquivalence statistical_equivalence(const SimulationTally& reference,
-                                        const SimulationTally& candidate,
-                                        double k_sigma) {
-  StatEquivalence out;
-  const std::uint64_t na = reference.photons_launched();
-  const std::uint64_t nb = candidate.photons_launched();
-
-  const auto add_check = [&](const char* name, double a, double b,
-                             double sigma) {
-    StatCheck c;
-    c.name = name;
-    c.reference = a;
-    c.candidate = b;
-    c.sigma = sigma;
-    const double diff = std::abs(a - b);
-    c.z = sigma > 0.0 ? diff / sigma : (diff == 0.0 ? 0.0 : kInf);
-    c.pass = c.z <= k_sigma;
-    out.pass = out.pass && c.pass;
-    out.max_z = std::max(out.max_z, c.z);
-    out.checks.push_back(std::move(c));
-  };
-  const auto add_fraction = [&](const char* name, double a, double b) {
-    add_check(name, a, b,
-              std::sqrt(bounded_mean_var(a, na) + bounded_mean_var(b, nb)));
-  };
-
-  add_fraction("specular_reflectance", reference.specular_reflectance(),
-               candidate.specular_reflectance());
-  add_fraction("diffuse_reflectance", reference.diffuse_reflectance(),
-               candidate.diffuse_reflectance());
-  add_fraction("transmittance", reference.transmittance(),
-               candidate.transmittance());
-  add_fraction("absorbed_fraction", reference.absorbed_fraction(),
-               candidate.absorbed_fraction());
-  add_fraction("detected_fraction", reference.detected_fraction(),
-               candidate.detected_fraction());
-  add_fraction("lost_fraction", reference.lost_fraction(),
-               candidate.lost_fraction());
-
-  // Mean detected pathlength: detected-pathlength distributions are
-  // broad, roughly exponential-tailed, so std <= mean is a serviceable
-  // conservative scale; skip when either run detected too few photons for
-  // a mean to be meaningful.
-  const std::uint64_t da = reference.photons_detected();
-  const std::uint64_t db = candidate.photons_detected();
-  if (da >= 30 && db >= 30) {
-    const double ma = reference.mean_detected_pathlength();
-    const double mb = candidate.mean_detected_pathlength();
-    const double sigma = std::sqrt(ma * ma / static_cast<double>(da) +
-                                   mb * mb / static_cast<double>(db));
-    add_check("mean_detected_pathlength_mm", ma, mb, sigma);
-  }
-
-  return out;
-}
-
-std::string StatEquivalence::summary() const {
-  std::string out;
-  for (const StatCheck& c : checks) {
-    out += c.name;
-    out += ": ref=" + std::to_string(c.reference);
-    out += " cand=" + std::to_string(c.candidate);
-    out += " z=" + std::to_string(c.z);
-    out += c.pass ? " [OK]\n" : " [FAIL]\n";
-  }
-  return out;
-}
-
-}  // namespace phodis::mc
+}  // namespace phodis::mc::PHODIS_PACKET_ISA

@@ -9,10 +9,11 @@
 //    reference by the statistical-equivalence test below.
 //  * Deterministic in itself: the tally produced for a given (config,
 //    photon_count, rng state) is identical across thread counts, build
-//    types, and sanitizers — each lane draws from its own RNG sub-stream
-//    (2^192 apart via Xoshiro256pp::long_jump), so a photon's trajectory
-//    is a function of its stream position alone, independent of which
-//    lane it lands in or what its packet-mates do.
+//    types, sanitizers, and instruction sets — each lane draws from its
+//    own RNG sub-stream (2^192 apart via Xoshiro256pp::long_jump), so a
+//    photon's trajectory is a function of its stream position alone,
+//    independent of which lane it lands in or what its packet-mates do;
+//    and no build contracts or reassociates FP (see PacketIsa below).
 //  * Supported configuration subset is enforced by KernelConfig::validate:
 //    probabilistic boundaries, no path grid, every layer µt > 0.
 #pragma once
@@ -31,8 +32,73 @@ namespace phodis::mc {
 /// accumulating into `tally` (which must have the shape of
 /// kernel.make_tally()). Advances `rng` by exactly kPacketWidth
 /// long_jump()s — the per-lane sub-streams — regardless of photon count.
+/// Runs the dispatched_packet_isa() build.
 void run_packet(const Kernel& kernel, std::uint64_t photon_count,
                 util::Xoshiro256pp& rng, SimulationTally& tally);
+
+// --- instruction-set builds -------------------------------------------------
+//
+// packet_kernel.cpp and vmath.cpp are compiled once per PacketIsa, at the
+// same kPacketWidth and the same -O3 -ffp-contract=off flags, each into
+// its own namespace below. run_packet calls the widest build this CPU can
+// execute, chosen once per process. With no FMA contraction and no
+// reassociation, a wider register changes how many lanes one instruction
+// covers, never a rounding: every build produces the same tally bytes,
+// so the packet golden hashes pin all of them.
+
+enum class PacketIsa : std::uint8_t {
+  kAvx2,    ///< -mavx2: two ymm registers per 8-lane array
+  kAvx512,  ///< -mavx512f/dq/vl/bw: one zmm register per 8-lane array
+};
+
+/// Every build, narrowest first.
+inline constexpr PacketIsa kPacketIsas[] = {PacketIsa::kAvx2,
+                                            PacketIsa::kAvx512};
+
+std::string to_string(PacketIsa isa);  ///< "avx2" | "avx512"
+
+/// The CPU features the AVX-512 build is compiled for.
+struct Avx512Features {
+  bool f = false;
+  bool dq = false;
+  bool vl = false;
+  bool bw = false;
+};
+
+/// This CPU's features, as __builtin_cpu_supports reports them.
+Avx512Features host_avx512_features() noexcept;
+
+/// The dispatch rule: kAvx512 exactly when every feature is present.
+PacketIsa select_packet_isa(const Avx512Features& cpu) noexcept;
+
+/// Whether this CPU can execute `isa`'s build.
+bool packet_isa_supported(PacketIsa isa) noexcept;
+
+/// The build run_packet uses in this process: select_packet_isa of the
+/// host, resolved on first use, which also sets the registry gauge
+/// mc_packet_isa{isa="avx2"|"avx512"} to 1.
+PacketIsa dispatched_packet_isa();
+
+/// One build's entry points, so tests and bench_kernel can exercise
+/// every build the host supports. Calling a build the CPU lacks raises
+/// SIGILL: check packet_isa_supported() first.
+struct PacketIsaBuild {
+  void (*run)(const Kernel&, std::uint64_t, util::Xoshiro256pp&,
+              SimulationTally&);
+  void (*vlog)(const double*, double*, std::size_t) noexcept;
+  void (*vsincos_2pi)(const double*, double*, double*, std::size_t) noexcept;
+};
+const PacketIsaBuild& packet_isa_build(PacketIsa isa) noexcept;
+
+namespace isa_avx2 {
+void run_packet(const Kernel& kernel, std::uint64_t photon_count,
+                util::Xoshiro256pp& rng, SimulationTally& tally);
+}  // namespace isa_avx2
+
+namespace isa_avx512 {
+void run_packet(const Kernel& kernel, std::uint64_t photon_count,
+                util::Xoshiro256pp& rng, SimulationTally& tally);
+}  // namespace isa_avx512
 
 /// Default acceptance threshold for statistical_equivalence(): 6 combined
 /// standard errors. With ~10 quantities checked per comparison, a true-null

@@ -1,8 +1,10 @@
 // Lane-parallel log and sincos. See vmath.hpp for the accuracy and
-// determinism contracts. This TU (and packet_kernel.cpp) is compiled with
-// -O3 -mavx2 -ffp-contract=off, scoped in CMakeLists.txt; the loops are
-// written as straight-line per-lane arithmetic with branchless selects so
-// the auto-vectorizer turns each into a handful of vector ops.
+// determinism contracts. This TU (and packet_kernel.cpp) is compiled once
+// per PacketIsa with -O3 -ffp-contract=off plus that ISA's -m flags,
+// scoped in CMakeLists.txt, into the namespace PHODIS_PACKET_ISA names;
+// the loops are written as straight-line per-lane arithmetic with
+// branchless selects so the auto-vectorizer turns each into a handful of
+// vector ops.
 //
 // The polynomials and reduction constants are the public-domain fdlibm
 // ones (Sun Microsystems, via glibc/musl); re-derived coefficients would
@@ -12,7 +14,12 @@
 #include <bit>
 #include <cstdint>
 
-namespace phodis::mc {
+#if !defined(PHODIS_PACKET_ISA)
+// Built once per PacketIsa: PHODIS_PACKET_ISA names the build's namespace.
+#error "PHODIS_PACKET_ISA is not defined (see CMakeLists.txt)"
+#endif
+
+namespace phodis::mc::PHODIS_PACKET_ISA {
 
 namespace {
 
@@ -114,4 +121,4 @@ void vsincos_2pi(const double* u, double* sin_out, double* cos_out,
   }
 }
 
-}  // namespace phodis::mc
+}  // namespace phodis::mc::PHODIS_PACKET_ISA

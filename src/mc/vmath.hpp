@@ -6,7 +6,9 @@
 // afford polynomial approximations evaluated lane-parallel: plain loops
 // over fixed-width arrays that gcc auto-vectorizes at -O3 with the
 // relaxed-FP flags scoped to vmath.cpp / packet_kernel.cpp (see
-// CMakeLists.txt). No intrinsics: the data layout does the work.
+// CMakeLists.txt). No intrinsics: the data layout does the work, and the
+// same source is built once per PacketIsa (packet_kernel.hpp) — today an
+// AVX2 and an AVX-512 build — each into its own namespace below.
 //
 // Accuracy contract (verified by tests/test_packet_kernel.cpp):
 //  * vlog:        fdlibm-style argument reduction + degree-7 series in
@@ -23,10 +25,10 @@
 //
 // Determinism contract: every polynomial is fixed-order Horner and the
 // TUs are built with -ffp-contract=off, so results are identical IEEE
-// doubles whether the loop was vectorized, unrolled, or run under a
-// sanitizer at -O2 — the packet golden hashes hold across the whole
-// build matrix, they are just not the glibc-rounded values the scalar
-// mode pins.
+// doubles whether the loop was vectorized (at either ISA's register
+// width), unrolled, or run under a sanitizer — the packet golden hashes
+// hold across the whole build matrix and across ISA builds, they are
+// just not the glibc-rounded values the scalar mode pins.
 #pragma once
 
 #include <cstddef>
@@ -35,19 +37,31 @@ namespace phodis::mc {
 
 /// Photons marched per packet: 8 doubles = one AVX-512 register or two
 /// AVX2 registers. Part of the packet-mode golden contract (changing it
-/// changes lane sub-stream layout and refill order).
+/// changes lane sub-stream layout and refill order), so every ISA build
+/// marches the same 8 lanes.
 inline constexpr std::size_t kPacketWidth = 8;
 
-/// out[i] = log(x[i]) for x[i] in (0, 1] (no subnormal/zero/negative
-/// handling: the caller feeds uniform_open0() draws, which are >= 2^-53).
-void vlog(const double* x, double* out, std::size_t n) noexcept;
+// Each ISA build of vmath.cpp defines the pair below in its namespace:
+//
+// vlog: out[i] = log(x[i]) for x[i] in (0, 1] (no subnormal/zero/negative
+//   handling: the caller feeds uniform_open0() draws, which are >= 2^-53).
+//
+// vsincos_2pi: sin_out[i] = sin(2*pi*u[i]), cos_out[i] = cos(2*pi*u[i])
+//   for u in [0, 1). Sampling the azimuth directly from the unit draw
+//   skips the 2*pi multiply AND glibc's generic payne-hanek reduction: the
+//   quadrant is exact (4u rounded to nearest int) and the residual angle
+//   is |theta| <= pi/4 by construction.
 
-/// sin_out[i] = sin(2*pi*u[i]), cos_out[i] = cos(2*pi*u[i]) for u in
-/// [0, 1). Sampling the azimuth directly from the unit draw skips the
-/// 2*pi multiply AND glibc's generic payne-hanek reduction: the quadrant
-/// is exact (4u rounded to nearest int) and the residual angle is
-/// |theta| <= pi/4 by construction.
+namespace isa_avx2 {
+void vlog(const double* x, double* out, std::size_t n) noexcept;
 void vsincos_2pi(const double* u, double* sin_out, double* cos_out,
                  std::size_t n) noexcept;
+}  // namespace isa_avx2
+
+namespace isa_avx512 {
+void vlog(const double* x, double* out, std::size_t n) noexcept;
+void vsincos_2pi(const double* u, double* sin_out, double* cos_out,
+                 std::size_t n) noexcept;
+}  // namespace isa_avx512
 
 }  // namespace phodis::mc

@@ -83,9 +83,17 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
     try {
       frame = read_frame(connection->socket);
     } catch (const FramingError& error) {
-      util::log_warn() << "net::Server: dropping connection: "
-                       << error.what();
-      wire_counters().torn_frames.inc();
+      // shutdown() wakes every reader with shutdown_both(), so a frame
+      // still arriving then ends mid-frame: that is this server closing
+      // the connection, not the peer tearing a frame.
+      if (closed()) {
+        util::log_debug() << "net::Server: connection closed by shutdown: "
+                          << error.what();
+      } else {
+        util::log_warn() << "net::Server: dropping connection: "
+                         << error.what();
+        wire_counters().torn_frames.inc();
+      }
       frame.reset();
     }
     if (!frame) break;  // EOF or torn frame: connection is done

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
 #include "util/bytes.hpp"
 
 namespace phodis::net {
@@ -261,6 +265,51 @@ TEST(SocketTransport, ServerSurvivesGarbageFrames) {
   run_cluster(server, manager, 2);
   expect_doubled_results(manager, tasks);
   EXPECT_EQ(manager.stats().completions, 5u);
+}
+
+std::uint64_t server_torn_frames() {
+  return obs::registry()
+      .counter("net_torn_frames_total", {{"side", "server"}})
+      .value();
+}
+
+/// Poll `done` every millisecond for up to five seconds.
+bool eventually(const std::function<bool()>& done) {
+  for (int i = 0; i < 5'000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(SocketTransport, TornFrameCountsPeersButNotTheServersOwnShutdown) {
+  Server server(Address::unix_path(unique_socket_path("torn")));
+  const std::uint64_t before = server_torn_frames();
+
+  {
+    // A peer that hangs up inside a length prefix tore the frame.
+    Socket vandal = Socket::connect(server.local_address());
+    const std::uint8_t torn[3] = {0xEE, 0x00, 0x00};
+    ASSERT_TRUE(vandal.send_all(torn, sizeof torn));
+  }
+  ASSERT_TRUE(eventually([&] { return server_torn_frames() == before + 1; }));
+
+  // A worker whose next frame is cut off because the server shuts down
+  // (the post-Shutdown MetricsSnapshot race) was closed cleanly.
+  Socket worker = Socket::connect(server.local_address());
+  dist::Message hello;
+  hello.sender = "late";
+  ASSERT_TRUE(write_frame(worker, hello.encode()));
+  ASSERT_TRUE(eventually([&] {
+    const std::vector<std::string> names = server.connected_endpoints();
+    return std::find(names.begin(), names.end(), "late") != names.end();
+  }));
+  const std::uint8_t prefix[4] = {0x9A, 0x05, 0x00, 0x00};  // 1434 bytes
+  ASSERT_TRUE(worker.send_all(prefix, sizeof prefix));
+  // Let the reader consume the prefix and block on the missing body.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.shutdown();
+  EXPECT_EQ(server_torn_frames(), before + 1);
 }
 
 TEST(SocketTransport, MonteCarloTallyMatchesSerialBitwise) {

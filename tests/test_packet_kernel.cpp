@@ -5,6 +5,10 @@
 //  * packet golden hashes: packet mode pins its OWN tally bytes (it is
 //    deliberately not bitwise-equal to scalar), reproducible serially and
 //    through the shard plan at every thread count;
+//  * ISA builds: the vmath and golden suites above run through every
+//    PacketIsa build the host can execute (the rest skip with a reason),
+//    the builds are compared byte for byte, and the dispatch rule is
+//    pinned against __builtin_cpu_supports;
 //  * lane-compaction edge cases: streams smaller than the packet width,
 //    heavy-absorption lane churn, roulette in packet mode;
 //  * statistical equivalence: packet and scalar runs of the same
@@ -14,6 +18,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/spec.hpp"
@@ -23,12 +30,33 @@
 #include "mc/packet_kernel.hpp"
 #include "mc/presets.hpp"
 #include "mc/vmath.hpp"
+#include "obs/metrics.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace phodis;
+
+// --- ISA builds -------------------------------------------------------------
+
+/// Fixture for the suites that run once per PacketIsa build.
+class IsaBuild : public ::testing::TestWithParam<mc::PacketIsa> {
+ protected:
+  void SetUp() override {
+    if (!mc::packet_isa_supported(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot execute the "
+                   << mc::to_string(GetParam()) << " build";
+    }
+  }
+  const mc::PacketIsaBuild& build() const {
+    return mc::packet_isa_build(GetParam());
+  }
+};
+
+std::string isa_name(const ::testing::TestParamInfo<mc::PacketIsa>& info) {
+  return mc::to_string(info.param);
+}
 
 // --- vmath accuracy ---------------------------------------------------------
 
@@ -40,7 +68,9 @@ double ulp_distance(double reference, double value) {
   return std::abs(reference - value) / ulp;
 }
 
-TEST(Vmath, VlogMatchesStdLogWithinFourUlp) {
+using Vmath = IsaBuild;
+
+TEST_P(Vmath, VlogMatchesStdLogWithinFourUlp) {
   util::Xoshiro256pp rng(7);
   double max_ulp = 0.0;
   constexpr std::size_t kBatch = 64;
@@ -55,7 +85,7 @@ TEST(Vmath, VlogMatchesStdLogWithinFourUlp) {
       x[2] = 0.5;
       x[3] = std::nextafter(1.0, 0.0);
     }
-    mc::vlog(x, out, kBatch);
+    build().vlog(x, out, kBatch);
     for (std::size_t i = 0; i < kBatch; ++i) {
       max_ulp = std::max(max_ulp, ulp_distance(std::log(x[i]), out[i]));
     }
@@ -63,7 +93,7 @@ TEST(Vmath, VlogMatchesStdLogWithinFourUlp) {
   EXPECT_LE(max_ulp, 4.0);
 }
 
-TEST(Vmath, SincosMatchesLongDoubleWithinTwoPowMinus50) {
+TEST_P(Vmath, SincosMatchesLongDoubleWithinTwoPowMinus50) {
   util::Xoshiro256pp rng(11);
   const long double two_pi_l = 2.0L * 3.14159265358979323846264338327950288L;
   double max_err = 0.0;
@@ -84,7 +114,7 @@ TEST(Vmath, SincosMatchesLongDoubleWithinTwoPowMinus50) {
       u[6] = std::nextafter(0.25, 0.0);
       u[7] = std::nextafter(0.25, 1.0);
     }
-    mc::vsincos_2pi(u, s, c, kBatch);
+    build().vsincos_2pi(u, s, c, kBatch);
     for (std::size_t i = 0; i < kBatch; ++i) {
       const long double a = two_pi_l * static_cast<long double>(u[i]);
       max_err = std::max(
@@ -122,9 +152,16 @@ mc::SimulationTally run_tally(const mc::KernelConfig& config,
   return tally;
 }
 
-std::uint64_t run_hash(const mc::KernelConfig& config, std::uint64_t photons,
-                       std::uint64_t seed = 42) {
-  return fnv1a64(run_tally(config, photons, seed).to_bytes());
+/// run_tally through one ISA build instead of the dispatched one.
+std::vector<std::uint8_t> run_bytes(mc::PacketIsa isa,
+                                    const mc::KernelConfig& config,
+                                    std::uint64_t photons,
+                                    std::uint64_t seed = 42) {
+  const mc::Kernel kernel(config);
+  mc::SimulationTally tally = kernel.make_tally();
+  util::Xoshiro256pp rng(seed);
+  mc::packet_isa_build(isa).run(kernel, photons, rng, tally);
+  return tally.to_bytes();
 }
 
 mc::KernelConfig two_layer_packet() {
@@ -142,49 +179,101 @@ mc::KernelConfig two_layer_packet() {
 // type in the matrix (the scoped -O3/-mavx2/-ffp-contract=off flags on
 // the packet TUs are part of this contract). A hash change here means the
 // packet physics stream changed and must be an intentional re-record.
+// Every ISA build must reproduce the same hashes bit for bit.
 
-TEST(PacketGolden, TwoLayer) {
-  EXPECT_EQ(run_hash(two_layer_packet(), 10'000), 0x780496D06EEC2F2FULL);
+using PacketGolden = IsaBuild;
+
+TEST_P(PacketGolden, TwoLayer) {
+  EXPECT_EQ(fnv1a64(run_bytes(GetParam(), two_layer_packet(), 10'000)),
+            0x780496D06EEC2F2FULL);
 }
 
-TEST(PacketGolden, TwoLayerRadialAndDetector) {
+mc::KernelConfig two_layer_radial_detector() {
   mc::KernelConfig config = two_layer_packet();
   config.tally.enable_radial = true;
   config.detector = mc::DetectorSpec{};
-  EXPECT_EQ(run_hash(config, 5'000), 0x8293DD6AB5EBB754ULL);
+  return config;
 }
 
-TEST(PacketGolden, TwoLayerFluenceGrid) {
+TEST_P(PacketGolden, TwoLayerRadialAndDetector) {
+  EXPECT_EQ(fnv1a64(run_bytes(GetParam(), two_layer_radial_detector(), 5'000)),
+            0x8293DD6AB5EBB754ULL);
+}
+
+mc::KernelConfig two_layer_fluence_grid() {
   mc::KernelConfig config = two_layer_packet();
   config.tally.enable_fluence_grid = true;
   config.tally.fluence_spec = mc::GridSpec::cube(40, 20.0, 40.0);
-  EXPECT_EQ(run_hash(config, 5'000), 0x75AA1374DE50ED77ULL);
+  return config;
 }
 
-TEST(PacketGolden, HeadModel) {
+TEST_P(PacketGolden, TwoLayerFluenceGrid) {
+  EXPECT_EQ(fnv1a64(run_bytes(GetParam(), two_layer_fluence_grid(), 5'000)),
+            0x75AA1374DE50ED77ULL);
+}
+
+mc::KernelConfig head_model_packet() {
   mc::KernelConfig config;
   config.medium = mc::adult_head_model();
   config.mode = mc::KernelMode::kPacket;
-  EXPECT_EQ(run_hash(config, 2'000), 0x0848D6DF2D28B50FULL);
+  return config;
 }
 
-TEST(PacketGolden, WhiteMatterDivergingGaussianSource) {
+TEST_P(PacketGolden, HeadModel) {
+  EXPECT_EQ(fnv1a64(run_bytes(GetParam(), head_model_packet(), 2'000)),
+            0x0848D6DF2D28B50FULL);
+}
+
+mc::KernelConfig white_matter_gaussian_packet() {
   mc::KernelConfig config;
   config.medium = mc::homogeneous_white_matter();
   config.mode = mc::KernelMode::kPacket;
   config.source.type = mc::SourceType::kGaussian;
   config.source.radius_mm = 1.0;
   config.source.half_angle_deg = 15.0;
-  EXPECT_EQ(run_hash(config, 5'000), 0x35B4B19AF2EC90EBULL);
+  return config;
 }
 
-TEST(PacketGolden, RunIsSelfReproducible) {
+TEST_P(PacketGolden, WhiteMatterDivergingGaussianSource) {
+  EXPECT_EQ(
+      fnv1a64(run_bytes(GetParam(), white_matter_gaussian_packet(), 5'000)),
+      0x35B4B19AF2EC90EBULL);
+}
+
+TEST_P(PacketGolden, RunIsSelfReproducible) {
   const mc::KernelConfig config = two_layer_packet();
-  EXPECT_EQ(run_tally(config, 4'000, 9).to_bytes(),
-            run_tally(config, 4'000, 9).to_bytes());
+  EXPECT_EQ(run_bytes(GetParam(), config, 4'000, 9),
+            run_bytes(GetParam(), config, 4'000, 9));
 }
 
-TEST(PacketGolden, ShardPlanMatchesRecordedHashAtEveryThreadCount) {
+/// ParallelKernelRunner's shard plan (same shards, streams and merge
+/// order), with each shard run through one ISA build on `pool`.
+std::vector<std::uint8_t> shard_plan_bytes(mc::PacketIsa isa,
+                                           const mc::Kernel& kernel,
+                                           std::uint64_t photons,
+                                           exec::ThreadPool& pool) {
+  const std::vector<std::uint64_t> shards = exec::shard_plan(photons, 4096);
+  const std::vector<util::Xoshiro256pp> streams =
+      exec::shard_streams(42, 0, shards.size());
+  std::vector<std::optional<mc::SimulationTally>> tallies(shards.size());
+  std::vector<std::function<void()>> jobs;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    jobs.push_back([&, s] {
+      util::Xoshiro256pp rng = streams[s];
+      mc::SimulationTally tally = kernel.make_tally();
+      mc::packet_isa_build(isa).run(kernel, shards[s], rng, tally);
+      tallies[s].emplace(std::move(tally));
+    });
+  }
+  pool.run(std::move(jobs));
+  mc::SimulationTally merged = kernel.make_tally();
+  for (const std::optional<mc::SimulationTally>& tally : tallies) {
+    merged.merge(*tally);
+  }
+  return merged.to_bytes();
+}
+
+TEST_P(PacketGolden, ShardPlanMatchesRecordedHashAtEveryThreadCount) {
   const mc::Kernel kernel(two_layer_packet());
 
   const exec::ParallelKernelRunner serial_runner(kernel, nullptr, 4096);
@@ -194,10 +283,78 @@ TEST(PacketGolden, ShardPlanMatchesRecordedHashAtEveryThreadCount) {
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     exec::ThreadPool pool(threads);
+    EXPECT_EQ(shard_plan_bytes(GetParam(), kernel, 10'000, pool),
+              serial_bytes)
+        << "thread count " << threads;
     const exec::ParallelKernelRunner runner(kernel, &pool, 4096);
     EXPECT_EQ(runner.run(10'000, 42, 0).to_bytes(), serial_bytes)
-        << "thread count " << threads;
+        << "dispatched build, thread count " << threads;
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, Vmath, ::testing::ValuesIn(mc::kPacketIsas),
+                         isa_name);
+INSTANTIATE_TEST_SUITE_P(Isa, PacketGolden,
+                         ::testing::ValuesIn(mc::kPacketIsas), isa_name);
+
+// --- cross-build identity and dispatch --------------------------------------
+
+TEST(PacketIsa, EveryBuildProducesIdenticalBytes) {
+  if (!mc::packet_isa_supported(mc::PacketIsa::kAvx512)) {
+    GTEST_SKIP() << "only the avx2 build runs on this CPU";
+  }
+  for (const mc::KernelConfig& config :
+       {two_layer_packet(), two_layer_radial_detector(),
+        two_layer_fluence_grid(), head_model_packet(),
+        white_matter_gaussian_packet()}) {
+    EXPECT_EQ(run_bytes(mc::PacketIsa::kAvx512, config, 3'000, 5),
+              run_bytes(mc::PacketIsa::kAvx2, config, 3'000, 5));
+  }
+
+  constexpr std::size_t kBatch = 4096;
+  std::vector<double> u(kBatch);
+  util::Xoshiro256pp rng(3);
+  for (double& value : u) value = rng.uniform_open0();
+  const auto vmath_bytes = [&](mc::PacketIsa isa) {
+    std::vector<double> out(3 * kBatch);
+    mc::packet_isa_build(isa).vlog(u.data(), out.data(), kBatch);
+    mc::packet_isa_build(isa).vsincos_2pi(u.data(), out.data() + kBatch,
+                                          out.data() + 2 * kBatch, kBatch);
+    return out;
+  };
+  const std::vector<double> a = vmath_bytes(mc::PacketIsa::kAvx2);
+  const std::vector<double> b = vmath_bytes(mc::PacketIsa::kAvx512);
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+TEST(PacketIsa, DispatchPicksAvx512ExactlyWhenEveryFeatureIsPresent) {
+  for (unsigned bits = 0; bits < 16; ++bits) {
+    mc::Avx512Features cpu;
+    cpu.f = (bits & 1u) != 0;
+    cpu.dq = (bits & 2u) != 0;
+    cpu.vl = (bits & 4u) != 0;
+    cpu.bw = (bits & 8u) != 0;
+    EXPECT_EQ(mc::select_packet_isa(cpu),
+              bits == 15 ? mc::PacketIsa::kAvx512 : mc::PacketIsa::kAvx2)
+        << "feature bits " << bits;
+  }
+
+  const mc::Avx512Features host = mc::host_avx512_features();
+  EXPECT_EQ(host.f, __builtin_cpu_supports("avx512f") != 0);
+  EXPECT_EQ(host.dq, __builtin_cpu_supports("avx512dq") != 0);
+  EXPECT_EQ(host.vl, __builtin_cpu_supports("avx512vl") != 0);
+  EXPECT_EQ(host.bw, __builtin_cpu_supports("avx512bw") != 0);
+  const bool all = __builtin_cpu_supports("avx512f") &&
+                   __builtin_cpu_supports("avx512dq") &&
+                   __builtin_cpu_supports("avx512vl") &&
+                   __builtin_cpu_supports("avx512bw");
+  const mc::PacketIsa dispatched = mc::dispatched_packet_isa();
+  EXPECT_EQ(dispatched, all ? mc::PacketIsa::kAvx512 : mc::PacketIsa::kAvx2);
+  EXPECT_TRUE(mc::packet_isa_supported(dispatched));
+  EXPECT_EQ(obs::registry()
+                .gauge("mc_packet_isa", {{"isa", mc::to_string(dispatched)}})
+                .value(),
+            1.0);
 }
 
 // --- lane-compaction edge cases --------------------------------------------
