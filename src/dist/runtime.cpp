@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -29,6 +31,11 @@ std::vector<obs::Counter*> message_counters(const std::string& name) {
         name, {{"type", to_string(static_cast<MessageType>(tag))}}));
   }
   return counters;
+}
+
+/// The endpoint name of task slot `slot` of a worker named `name`.
+std::string slot_name(const std::string& name, std::size_t slot) {
+  return slot == 0 ? name : name + "." + std::to_string(slot);
 }
 
 }  // namespace
@@ -283,9 +290,11 @@ WorkerLoopOutcome run_worker_loop(Transport& transport,
           span.arg("worker", name);
           result.payload = executor(reply->task_id, reply->payload);
         }
-        transport.send(options.server_endpoint, result);
+        // Counted before the send: once this result completes the run,
+        // a sibling slot may snapshot the registry on Shutdown.
         ++outcome.tasks_executed;
         tasks_executed.inc();
+        transport.send(options.server_endpoint, result);
         break;
       }
       case MessageType::kNoWork:
@@ -296,17 +305,6 @@ WorkerLoopOutcome run_worker_loop(Transport& transport,
       case MessageType::kShutdown:
         outcome.saw_shutdown = true;
         outcome.final_name = name;
-        if (options.send_metrics_snapshot) {
-          // Ship the whole process registry (plus compile-gated kernel
-          // counters); the server folds it into the cluster-wide report.
-          obs::Snapshot snapshot = obs::registry().snapshot();
-          obs::append_kernel_counters(snapshot);
-          Message metrics_msg;
-          metrics_msg.type = MessageType::kMetricsSnapshot;
-          metrics_msg.sender = name;
-          metrics_msg.payload = snapshot.encode();
-          transport.send(options.server_endpoint, metrics_msg);
-        }
         return outcome;
       case MessageType::kRequestWork:
       case MessageType::kTaskResult:
@@ -316,6 +314,90 @@ WorkerLoopOutcome run_worker_loop(Transport& transport,
   }
   outcome.final_name = name;
   return outcome;
+}
+
+std::uint64_t slot_seed(std::uint64_t seed, std::size_t slot,
+                        std::size_t slots) {
+  return slots == 1 ? seed : util::mix64(seed, slot);
+}
+
+WorkerLoopOutcome run_worker_slots(std::size_t slots,
+                                   const SlotTransportFactory& make_transport,
+                                   const TaskExecutor& executor,
+                                   const WorkerLoopOptions& options) {
+  if (slots == 0) {
+    throw std::invalid_argument("run_worker_slots: need >= 1 slot");
+  }
+  options.validate();
+  obs::registry().gauge("dist_worker_slots").set(static_cast<double>(slots));
+
+  std::vector<std::unique_ptr<Transport>> transports;
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    transports.push_back(make_transport(slot, slot_name(options.name, slot)));
+  }
+
+  std::atomic<bool> finished{false};
+  std::vector<WorkerLoopOutcome> outcomes(slots);
+  std::vector<std::exception_ptr> errors(slots);
+  const auto run_slot = [&](std::size_t slot) {
+    WorkerLoopOptions slot_options = options;
+    slot_options.name = slot_name(options.name, slot);
+    slot_options.death_seed = slot_seed(options.death_seed, slot, slots);
+    slot_options.keep_running = [&finished, &options] {
+      return !finished.load() &&
+             (!options.keep_running || options.keep_running());
+    };
+    try {
+      outcomes[slot] =
+          run_worker_loop(*transports[slot], executor, slot_options);
+      // Every task is complete once the server says Shutdown, so the
+      // first slot to see it reports for the process at once. A slot
+      // still finishing a re-leased duplicate must not hold the snapshot
+      // past the server's drain window.
+      if (outcomes[slot].saw_shutdown && !finished.exchange(true) &&
+          options.send_metrics_snapshot) {
+        // The whole process registry plus compile-gated kernel counters;
+        // the server folds it into the cluster-wide report.
+        obs::Snapshot snapshot = obs::registry().snapshot();
+        obs::append_kernel_counters(snapshot);
+        Message metrics_msg;
+        metrics_msg.type = MessageType::kMetricsSnapshot;
+        metrics_msg.sender = outcomes[slot].final_name;
+        metrics_msg.payload = snapshot.encode();
+        transports[slot]->send(options.server_endpoint, metrics_msg);
+      }
+    } catch (...) {
+      errors[slot] = std::current_exception();
+      finished.store(true);
+    }
+  };
+  std::vector<std::thread> threads;
+  const auto join_all = [&] {
+    for (std::thread& thread : threads) thread.join();
+  };
+  try {
+    for (std::size_t slot = 1; slot < slots; ++slot) {
+      threads.emplace_back(run_slot, slot);
+    }
+  } catch (...) {
+    finished.store(true);
+    join_all();
+    throw;
+  }
+  run_slot(0);
+  join_all();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+
+  WorkerLoopOutcome total;
+  total.final_name = outcomes[0].final_name;
+  for (const WorkerLoopOutcome& outcome : outcomes) {
+    total.tasks_executed += outcome.tasks_executed;
+    total.deaths += outcome.deaths;
+    total.saw_shutdown = total.saw_shutdown || outcome.saw_shutdown;
+  }
+  return total;
 }
 
 void RuntimeConfig::validate() const {

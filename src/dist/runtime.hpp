@@ -3,7 +3,8 @@
 // any Transport — the in-process loopback (Runtime bundles both sides
 // behind one call, the original threaded simulation) or real sockets
 // (phodis_server runs run_server_loop over a net::Server, each
-// phodis_worker process runs run_worker_loop over a net::Client).
+// phodis_worker process runs run_worker_slots: one run_worker_loop per
+// task slot, each over its own net::Client).
 //
 // Faults are first-class: frames may be dropped (FaultSpec) and workers
 // may die mid-assignment (death_probability, or a real SIGKILL); lease
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,11 +90,12 @@ struct WorkerLoopOptions {
   /// Extra liveness check polled each iteration (in-process pools use it
   /// to stop workers whose Shutdown frame was lost); empty = always on.
   std::function<bool()> keep_running;
-  /// On Shutdown receipt, encode the process-global obs registry (plus
-  /// kernel counters) and send it to the server as a MetricsSnapshot
-  /// before returning. Off by default: in-process pools share one
-  /// registry with the server, so only separate worker processes
-  /// (phodis_worker) should ship theirs.
+  /// Read by run_worker_slots only (run_worker_loop ignores it): on
+  /// Shutdown, encode the process-global obs registry (plus kernel
+  /// counters) and send it to the server as one MetricsSnapshot for the
+  /// whole process. Off by default: in-process pools share one registry
+  /// with the server, so only separate worker processes (phodis_worker)
+  /// should ship theirs.
   bool send_metrics_snapshot = false;
 
   void validate() const;
@@ -113,6 +116,38 @@ struct WorkerLoopOutcome {
 WorkerLoopOutcome run_worker_loop(Transport& transport,
                                   const TaskExecutor& executor,
                                   const WorkerLoopOptions& options);
+
+/// The seed of slot `slot`'s fault streams (frame drops, deaths) in a
+/// worker with `slots` slots: `seed` itself for a single slot, else
+/// util::mix64(seed, slot), so slots never drop or die in lockstep.
+std::uint64_t slot_seed(std::uint64_t seed, std::size_t slot,
+                        std::size_t slots);
+
+/// Builds the transport of task slot `slot`, whose endpoint is `name`.
+using SlotTransportFactory = std::function<std::unique_ptr<Transport>(
+    std::size_t slot, const std::string& name)>;
+
+/// One worker process as `slots` independent lease holders: slot k runs
+/// run_worker_loop on its own thread (slot 0 on the calling thread) over
+/// its own make_transport(k, name), executing one task at a time, so the
+/// server sees `slots` ordinary workers. Slot 0 is named options.name and
+/// slot k >= 1 "<options.name>.<k>"; slot k dies on the stream
+/// slot_seed(options.death_seed, k, slots).
+///
+/// Once any slot sees Shutdown the run is over: the others stop at
+/// their next loop check instead of spending their reconnect budget.
+/// Slots share the process registry, so the process ships one
+/// MetricsSnapshot, not one per slot: when options.send_metrics_snapshot
+/// is set, the first slot to see Shutdown sends it on its own transport
+/// right away (a slot still busy with a duplicate lease would otherwise
+/// hold it past the server's drain window). Returns, after every slot
+/// has stopped, the slots' summed task and death counts, saw_shutdown if
+/// any slot saw Shutdown, and slot 0's final name. An exception from any
+/// slot stops the others and is rethrown after they have joined.
+WorkerLoopOutcome run_worker_slots(std::size_t slots,
+                                   const SlotTransportFactory& make_transport,
+                                   const TaskExecutor& executor,
+                                   const WorkerLoopOptions& options);
 
 struct RuntimeConfig {
   std::size_t worker_count = 2;

@@ -129,7 +129,9 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
 }
 
 std::vector<double> Histogram::latency_bounds_s() {
-  return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0};
+  return {1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4,
+          5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1,
+          0.2,  0.5,  1.0,  2.0,  5.0,  10.0};
 }
 
 // ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ class Histogram {
   }
   double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
 
-  /// Default latency bounds in seconds: 1us .. 10s by decades.
+  /// Default latency bounds in seconds: 1us .. 10s, 1-2-5 per decade, so
+  /// a stage of a few microseconds still lands in its own bucket.
   static std::vector<double> latency_bounds_s();
 
  private:

@@ -1,7 +1,8 @@
 // End-to-end tests of the socket transports: the server/worker protocol
 // loops over real TCP and Unix-domain sockets inside one process, with
-// fault injection, worker death, server restart (client reconnect), and
-// the bitwise-reproducibility cross-check against a serial MC run.
+// fault injection, worker death, server restart (client reconnect),
+// multi-slot workers (run_worker_slots), and the bitwise-reproducibility
+// cross-check against a serial MC run.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -10,6 +11,9 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace phodis::net {
 namespace {
@@ -312,18 +317,23 @@ TEST(SocketTransport, TornFrameCountsPeersButNotTheServersOwnShutdown) {
   EXPECT_EQ(server_torn_frames(), before + 1);
 }
 
-TEST(SocketTransport, MonteCarloTallyMatchesSerialBitwise) {
-  // The acceptance invariant, in-process: a socket-transport cluster run
-  // of the real MC workload reproduces the serial tally bitwise.
+/// A plan on phodis_server's medium (semi-infinite grey matter), seed 11.
+core::SimulationSpec grey_matter_spec(std::uint64_t photons) {
   core::SimulationSpec spec;
   mc::LayeredMediumBuilder builder;
   builder.add_semi_infinite_layer(
       "grey matter",
       mc::OpticalProperties::from_reduced(0.036, 2.2, 0.9, 1.4));
   spec.kernel.medium = builder.build();
-  spec.photons = 20'000;
+  spec.photons = photons;
   spec.seed = 11;
-  const core::MonteCarloApp app(spec);
+  return spec;
+}
+
+TEST(SocketTransport, MonteCarloTallyMatchesSerialBitwise) {
+  // The acceptance invariant, in-process: a socket-transport cluster run
+  // of the real MC workload reproduces the serial tally bitwise.
+  const core::MonteCarloApp app(grey_matter_spec(20'000));
   constexpr std::uint64_t kChunk = 4'000;
 
   const auto tasks = app.build_tasks(kChunk, 1);
@@ -397,6 +407,172 @@ TEST(SocketTransport, ServerCheckpointResumesAcrossManagers) {
 
   expect_doubled_results(resumed, tasks);
   fs::remove(checkpoint);
+}
+
+/// A server transport that records who each AssignTask was sent to —
+/// the names the DataManager leased tasks to.
+class LeaseRecorder final : public dist::Transport {
+ public:
+  explicit LeaseRecorder(dist::Transport& inner) : inner_(inner) {}
+
+  /// Lease holders so far; read only after the server loop returned.
+  const std::set<std::string>& leased_to() const { return leased_to_; }
+
+  void send(const std::string& endpoint, const dist::Message& msg) override {
+    if (msg.type == dist::MessageType::kAssignTask) leased_to_.insert(endpoint);
+    inner_.send(endpoint, msg);
+  }
+  std::optional<dist::Message> try_receive(
+      const std::string& endpoint) override {
+    return inner_.try_receive(endpoint);
+  }
+  std::optional<dist::Message> receive(const std::string& endpoint,
+                                       std::int64_t timeout_ms) override {
+    return inner_.receive(endpoint, timeout_ms);
+  }
+  void shutdown() override { inner_.shutdown(); }
+  bool closed() const override { return inner_.closed(); }
+  std::uint64_t frames_sent() const override { return inner_.frames_sent(); }
+  std::uint64_t frames_dropped() const override {
+    return inner_.frames_dropped();
+  }
+  std::uint64_t bytes_sent() const override { return inner_.bytes_sent(); }
+
+ private:
+  dist::Transport& inner_;
+  std::set<std::string> leased_to_;  // touched by the server loop only
+};
+
+/// A factory of plain Clients to `server`, logging each slot's name.
+dist::SlotTransportFactory clients_to(const Server& server,
+                                      std::vector<std::string>& names) {
+  return [&server, &names](std::size_t slot, const std::string& name) {
+    EXPECT_EQ(slot, names.size());  // one call per slot, in slot order
+    names.push_back(name);
+    return std::make_unique<Client>(server.local_address(), name);
+  };
+}
+
+TEST(WorkerSlots, ThreeSlotsMatchSerialBitwiseAndShipOneSnapshot) {
+  const core::MonteCarloApp app(grey_matter_spec(6'000));
+  constexpr std::uint64_t kChunk = 500;
+  const auto tasks = app.build_tasks(kChunk, 1);
+  dist::DataManager manager(30.0);
+  for (const auto& task : tasks) manager.add_task(task.task_id, task.payload);
+
+  Server server(Address::unix_path(unique_socket_path("slots")));
+  LeaseRecorder recorder(server);
+  std::vector<std::string> names;
+  dist::WorkerLoopOutcome outcome;
+  std::thread worker_thread([&] {
+    dist::WorkerLoopOptions options;
+    options.name = "slot";
+    options.send_metrics_snapshot = true;
+    outcome = dist::run_worker_slots(3, clients_to(server, names),
+                                     core::Algorithm::execute, options);
+  });
+  std::vector<std::string> snapshot_senders;
+  dist::ServerLoopOptions server_options;
+  server_options.metrics_snapshot_sink =
+      [&snapshot_senders](const std::string& sender,
+                          const std::vector<std::uint8_t>& /*payload*/) {
+        snapshot_senders.push_back(sender);
+      };
+  server_options.metrics_drain_ms = 1'000;
+  dist::run_server_loop(recorder, manager, server_options);
+  server.shutdown();
+  worker_thread.join();
+
+  EXPECT_EQ(names, (std::vector<std::string>{"slot", "slot.1", "slot.2"}));
+  EXPECT_EQ(recorder.leased_to(),
+            (std::set<std::string>{"slot", "slot.1", "slot.2"}));
+  EXPECT_EQ(manager.stats().completions, tasks.size());
+  EXPECT_GE(outcome.tasks_executed, tasks.size());
+  EXPECT_TRUE(outcome.saw_shutdown);
+  EXPECT_EQ(outcome.final_name, "slot");
+  // One process registry, so one snapshot, from whichever slot saw
+  // Shutdown first.
+  ASSERT_EQ(snapshot_senders.size(), 1u);
+  EXPECT_EQ(recorder.leased_to().count(snapshot_senders.front()), 1u);
+  EXPECT_EQ(obs::registry().gauge("dist_worker_slots").value(), 3.0);
+
+  const mc::SimulationTally distributed = app.merge_results(manager.results());
+  const mc::SimulationTally serial = app.run_serial(kChunk);
+  util::ByteWriter distributed_bytes;
+  distributed.serialize(distributed_bytes);
+  util::ByteWriter serial_bytes;
+  serial.serialize(serial_bytes);
+  EXPECT_EQ(distributed_bytes.bytes(), serial_bytes.bytes());
+}
+
+TEST(WorkerSlots, ShutdownOnOneSlotStopsTheOthers) {
+  // Slot 0 reaches the server; slots 1 and 2 dial a socket nobody binds,
+  // with a reconnect budget worth tens of seconds. Once slot 0 sees
+  // Shutdown they must stop within a reply timeout or two, not spend it.
+  const auto tasks = make_tasks(4);
+  dist::DataManager manager(30.0);
+  add_tasks(manager, tasks);
+  Server server(Address::unix_path(unique_socket_path("stop")));
+  const Address nowhere = Address::unix_path(unique_socket_path("ghost"));
+  ReconnectPolicy patient;
+  patient.max_attempts = 1'000;
+  patient.initial_backoff_ms = 20;
+  patient.max_backoff_ms = 20;
+  const dist::SlotTransportFactory factory =
+      [&](std::size_t slot,
+          const std::string& name) -> std::unique_ptr<dist::Transport> {
+    if (slot == 0) return std::make_unique<Client>(server.local_address(), name);
+    return std::make_unique<Client>(nowhere, name, dist::FaultSpec{}, patient);
+  };
+
+  using Clock = std::chrono::steady_clock;
+  dist::WorkerLoopOutcome outcome;
+  Clock::time_point worker_returned;
+  std::thread worker_thread([&] {
+    dist::WorkerLoopOptions options;
+    options.name = "split";
+    options.reply_timeout_ms = 20;
+    outcome = dist::run_worker_slots(3, factory, doubler, options);
+    worker_returned = Clock::now();
+  });
+  dist::run_server_loop(server, manager);
+  const Clock::time_point server_returned = Clock::now();
+  worker_thread.join();
+  server.shutdown();
+
+  expect_doubled_results(manager, tasks);
+  EXPECT_TRUE(outcome.saw_shutdown);
+  EXPECT_EQ(outcome.tasks_executed, tasks.size());
+  EXPECT_LT(worker_returned - server_returned, std::chrono::seconds(2));
+}
+
+TEST(WorkerSlots, OneSlotIsTodaysSingleWorker) {
+  const auto tasks = make_tasks(6);
+  dist::DataManager manager(30.0);
+  add_tasks(manager, tasks);
+  Server server(Address::unix_path(unique_socket_path("solo")));
+  LeaseRecorder recorder(server);
+  std::vector<std::string> names;
+  dist::WorkerLoopOutcome outcome;
+  std::thread worker_thread([&] {
+    dist::WorkerLoopOptions options;
+    options.name = "solo";
+    outcome = dist::run_worker_slots(1, clients_to(server, names), doubler,
+                                     options);
+  });
+  dist::run_server_loop(recorder, manager);
+  server.shutdown();
+  worker_thread.join();
+
+  expect_doubled_results(manager, tasks);
+  EXPECT_EQ(names, std::vector<std::string>{"solo"});
+  EXPECT_EQ(recorder.leased_to(), std::set<std::string>{"solo"});
+  EXPECT_EQ(outcome.final_name, "solo");
+  EXPECT_TRUE(outcome.saw_shutdown);
+  // A single slot keeps the configured fault seeds; more slots mix them.
+  EXPECT_EQ(dist::slot_seed(2006, 0, 1), 2006u);
+  EXPECT_EQ(dist::slot_seed(2006, 0, 2), util::mix64(2006, 0));
+  EXPECT_NE(dist::slot_seed(2006, 0, 2), dist::slot_seed(2006, 1, 2));
 }
 
 }  // namespace

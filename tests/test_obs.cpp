@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -274,6 +275,19 @@ TEST(ObsRegistry, HistogramBoundsMustAscend) {
   EXPECT_THROW(reg.histogram("bad2", {2.0, 1.0}), std::invalid_argument);
   reg.histogram("ok", {1.0, 2.0});
   EXPECT_THROW(reg.histogram("ok", {1.0, 3.0}), std::invalid_argument);
+}
+
+TEST(ObsRegistry, LatencyBoundsAreOneTwoFivePerDecade) {
+  const std::vector<double> bounds = obs::Histogram::latency_bounds_s();
+  ASSERT_FALSE(bounds.empty());
+  EXPECT_EQ(bounds.front(), 1e-6);
+  EXPECT_EQ(bounds.back(), 10.0);
+  EXPECT_EQ(std::adjacent_find(bounds.begin(), bounds.end(),
+                               std::greater_equal<>()),
+            bounds.end());  // strictly increasing
+  EXPECT_NE(std::find(bounds.begin(), bounds.end(), 2e-6), bounds.end());
+  EXPECT_NE(std::find(bounds.begin(), bounds.end(), 5e-5), bounds.end());
+  EXPECT_EQ(bounds.size(), 22u);  // 7 decades x {1, 2, 5}, then 10 s
 }
 
 TEST(ObsRegistry, ConcurrentIncrementsLoseNothing) {

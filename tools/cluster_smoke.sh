@@ -3,25 +3,31 @@
 #
 # Phase 1: phodis_server + 3 phodis_worker processes with 5% frame drops;
 #          one worker is SIGKILLed mid-run (lease expiry must recover its
-#          task). Two workers run their shards on 2 pool threads
-#          (--threads 2), which must not change a bit of the tally. The
-#          server must report a bitwise-identical serial cross-check.
+#          tasks). Two workers run 2 task slots each (--threads 2); the
+#          victim runs the default one slot per core, so it holds up to
+#          nproc leases when it is killed. Slots must not change a bit of
+#          the tally: the server must report a bitwise-identical serial
+#          cross-check.
 # Phase 2: server with --checkpoint and --merge-incremental (results
 #          folded into one running tally, checkpointed as merged state)
-#          is SIGKILLed mid-run and restarted; the surviving
-#          multi-threaded worker reconnects and the resumed run must
-#          still match the serial tally bitwise.
+#          is SIGKILLed mid-run and restarted; the surviving two-slot
+#          worker reconnects and the resumed run must still match the
+#          serial tally bitwise.
 # Phase 3: the whole cluster runs the batched packet loop
 #          (--kernel-mode packet on the server, and explicitly on the
 #          workers). The merged tally must match the server's packet-mode
 #          rerun bitwise AND pass the packet-vs-scalar statistical
 #          equivalence check against an independently computed scalar
-#          reference of the same plan.
+#          reference of the same plan. Its two workers run 2 and 1 task
+#          slots under a 1 s lease, so the phase stays within 4 cores.
 #
-# Both phases ask the server for a cluster-wide metrics report
-# (--metrics-json) and cross-check its counters against the configured
-# faults: phase 1 must show injected frame drops and the killed worker's
-# lease expiry; phase 2 runs fault-free and must show zero drops.
+# Every phase asks the server for a cluster-wide metrics report
+# (--metrics-json) and cross-checks its counters: phase 1 must show
+# injected frame drops and the killed worker's lease expiry; phase 2 runs
+# fault-free and must show zero drops; phase 3 must show at most one
+# worker metrics snapshot per process (never one per slot) and, summed
+# over those snapshots, at least one executed task per task in the plan
+# (unless a lease expired and a busy process missed the drain).
 #
 # Usage: cluster_smoke.sh PATH_TO_phodis_server PATH_TO_phodis_worker
 #        [ARTIFACT_DIR]
@@ -74,7 +80,7 @@ save_artifacts() {
   cp -f "$TMP"/*.json "$ARTIFACT_DIR"/ 2>/dev/null || true
 }
 
-echo "== Phase 1: 3 workers (2 multi-threaded), 5% drops, one SIGKILLed =="
+echo "== Phase 1: 3 workers (2 with two slots), 5% drops, one SIGKILLed =="
 SOCK="$TMP/phase1.sock"
 METRICS1="$TMP/metrics_phase1.json"
 "$SERVER_BIN" --listen "unix:$SOCK" --photons 120000 --chunk 4000 \
@@ -173,8 +179,10 @@ echo "phase 2 metrics: frames dropped = $DROPPED2 (fault-free, as configured)"
 
 echo "== Phase 3: packet-mode cluster, statistical check vs scalar reference =="
 SOCK="$TMP/phase3.sock"
+METRICS3="$TMP/metrics_phase3.json"
+PHASE3_TASKS=15  # 60000 photons in 4000-photon tasks
 "$SERVER_BIN" --listen "unix:$SOCK" --photons 60000 --chunk 4000 \
-  --seed 11 --lease 1.0 --kernel-mode packet \
+  --seed 11 --lease 1.0 --kernel-mode packet --metrics-json "$METRICS3" \
   >"$TMP/server3.log" 2>&1 &
 SERVER=$!
 wait_for_socket "$SOCK" || fail "phase 3 server never bound $SOCK"
@@ -182,7 +190,7 @@ wait_for_socket "$SOCK" || fail "phase 3 server never bound $SOCK"
 "$WORKER_BIN" --connect "unix:$SOCK" --name smoke-p0 --threads 2 \
   --kernel-mode packet --reconnect-attempts 5 >"$TMP/p0.log" 2>&1 &
 P0=$!
-"$WORKER_BIN" --connect "unix:$SOCK" --name smoke-p1 \
+"$WORKER_BIN" --connect "unix:$SOCK" --name smoke-p1 --threads 1 \
   --kernel-mode packet --reconnect-attempts 5 >"$TMP/p1.log" 2>&1 &
 P1=$!
 
@@ -199,6 +207,28 @@ grep -q "packet-vs-scalar statistical check: .*PASS" "$TMP/server3.log" ||
   fail "phase 3 merged packet tally failed the statistical check vs scalar"
 grep "packet-vs-scalar statistical check" "$TMP/server3.log"
 kill "$P0" "$P1" >/dev/null 2>&1
+
+# Two worker processes with 2 and 1 slots: each process ships one
+# snapshot of its registry, so the server counts at most 2. When both
+# land, together they executed every task at least once. A process whose
+# every slot is still computing a re-leased duplicate when the run ends
+# sees Shutdown only after the server's 400 ms drain, so its snapshot may
+# miss the report; that needs a task to have outlived its 1 s lease
+# (as under a sanitizer), and is only accepted then.
+[ -f "$METRICS3" ] || fail "phase 3 server wrote no metrics report"
+SNAPSHOTS=$(counter_value "$METRICS3" dist_server_metrics_snapshots_total '')
+EXECUTED=$(counter_value "$METRICS3" dist_worker_tasks_total '')
+EXPIRED3=$(counter_value "$METRICS3" dist_server_lease_expirations_total '')
+[ "$SNAPSHOTS" -le 2 ] ||
+  fail "phase 3: 2 worker processes but dist_server_metrics_snapshots_total = $SNAPSHOTS"
+if [ "$SNAPSHOTS" -eq 2 ]; then
+  [ "$EXECUTED" -ge "$PHASE3_TASKS" ] ||
+    fail "phase 3: $PHASE3_TASKS tasks but cluster-wide dist_worker_tasks_total = $EXECUTED"
+else
+  [ "$EXPIRED3" -ge 1 ] ||
+    fail "phase 3: no lease expired, yet only $SNAPSHOTS of 2 worker snapshots arrived"
+fi
+echo "phase 3 metrics: worker snapshots = $SNAPSHOTS, tasks executed = $EXECUTED, leases expired = $EXPIRED3"
 
 save_artifacts
 echo "cluster_smoke: PASS"

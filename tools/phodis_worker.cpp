@@ -8,7 +8,7 @@
 // spinning.
 //
 //   ./phodis_worker --connect unix:/tmp/phodis.sock [--name w0]
-//                   [--threads 1] [--drop 0.0] [--drop-seed 2006]
+//                   [--threads 0] [--drop 0.0] [--drop-seed 2006]
 //                   [--death 0.0] [--death-seed 2006]
 //                   [--reconnect-attempts 20]
 //                   [--kernel-mode {auto,scalar,packet}]
@@ -21,24 +21,34 @@
 // server's own produces statistically-equivalent but not bitwise-equal
 // tallies, so the server's bitwise cross-check will rightly flag it.
 //
-// --threads N runs each task's photon shards on an N-thread pool
-// (0 = one per core) so a single worker process saturates a multi-core
-// host; the returned tallies are bitwise identical for every N.
-// --death injects the paper's client churn without a kill(1): the worker
-// abandons that assignment and rejoins under a fresh name, leaving the
-// lease to expire server-side.
+// --threads N gives the process N task slots (0, the default, = one per
+// core; see dist::run_worker_slots). Each slot holds its own lease over
+// its own connection and runs its task's shards serially on its own
+// thread, so one process keeps N tasks in flight; the server sees N
+// workers named NAME, NAME.1, .., NAME.<N-1>. A task larger than one
+// 4096-photon shard therefore runs on one core. The returned tallies are
+// bitwise identical for every N. Each slot's drop and death streams are
+// seeded from --drop-seed/--death-seed and its slot index, so slots do
+// not fault in lockstep; with one slot the seeds are used as given.
+// --death injects the paper's client churn without a kill(1): the slot
+// abandons that assignment and rejoins under a fresh name (NAME#1, ..),
+// leaving the lease to expire server-side.
 //
-// On Shutdown the worker always ships its registry (kernel, pool, wire
-// counters) to the server as a MetricsSnapshot frame for the cluster-wide
-// report; --metrics-json additionally writes the same snapshot locally,
-// and --trace writes this process's spans as Chrome trace-event JSON.
+// On Shutdown the worker ships its registry (kernel, slot, wire counters)
+// to the server as one MetricsSnapshot frame for the cluster-wide report;
+// --metrics-json additionally writes the same snapshot locally, and
+// --trace writes this process's spans as Chrome trace-event JSON.
 #include <unistd.h>
 
+#include <cstdint>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 
 #include "core/app.hpp"
 #include "core/spec.hpp"
 #include "dist/runtime.hpp"
+#include "exec/threadpool.hpp"
 #include "mc/kernel.hpp"
 #include "net/client.hpp"
 #include "obs/kernel_counters.hpp"
@@ -55,8 +65,7 @@ int main(int argc, char** argv) {
   std::string default_name = "w";
   default_name += std::to_string(::getpid());
   const std::string name = args.get("name", default_name);
-  const auto threads =
-      static_cast<std::size_t>(args.get_int("threads", 1));
+  const std::int64_t threads_arg = args.get_int("threads", 0);
   dist::FaultSpec faults;
   faults.drop_probability = args.get_double("drop", 0.0);
   faults.seed = static_cast<std::uint64_t>(args.get_int("drop-seed", 2006));
@@ -69,15 +78,27 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::TraceRecorder::global().enable();
 
   try {
-    net::Client transport(net::Address::parse(connect_spec), name, faults,
-                          reconnect);
+    if (threads_arg < 0) {
+      throw std::invalid_argument("--threads must be >= 0");
+    }
+    const std::size_t slots =
+        threads_arg == 0 ? exec::ThreadPool::default_thread_count()
+                         : static_cast<std::size_t>(threads_arg);
+    const net::Address server = net::Address::parse(connect_spec);
+    const dist::SlotTransportFactory make_client =
+        [&](std::size_t slot, const std::string& slot_name) {
+          dist::FaultSpec slot_faults = faults;
+          slot_faults.seed = dist::slot_seed(faults.seed, slot, slots);
+          return std::make_unique<net::Client>(server, slot_name,
+                                               slot_faults, reconnect);
+        };
     dist::WorkerLoopOptions options;
     options.name = name;
     options.death_probability = args.get_double("death", 0.0);
     options.death_seed =
         static_cast<std::uint64_t>(args.get_int("death-seed", 2006));
     options.send_metrics_snapshot = true;
-    dist::TaskExecutor executor = core::Algorithm::executor(threads);
+    dist::TaskExecutor executor = &core::Algorithm::execute;
     if (const std::string mode_arg = args.get("kernel-mode", "auto");
         mode_arg != "auto") {
       const mc::KernelMode forced = mc::parse_kernel_mode(mode_arg);
@@ -91,9 +112,10 @@ int main(int argc, char** argv) {
       };
     }
     const dist::WorkerLoopOutcome outcome =
-        dist::run_worker_loop(transport, executor, options);
+        dist::run_worker_slots(slots, make_client, executor, options);
     std::cout << "phodis_worker " << outcome.final_name << ": executed "
-              << outcome.tasks_executed << " tasks, died "
+              << outcome.tasks_executed << " tasks on " << slots
+              << (slots == 1 ? " slot" : " slots") << ", died "
               << outcome.deaths << " times, "
               << (outcome.saw_shutdown ? "shut down by server"
                                        : "lost the server")
