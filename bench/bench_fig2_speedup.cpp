@@ -2,7 +2,8 @@
 // for the distributed Monte Carlo simulation".
 //
 // Regenerates the speedup/efficiency series on the simulated homogeneous
-// Pentium-IV fleet (see DESIGN.md §1 for why the cluster is simulated).
+// Pentium-IV fleet (README.md's "Benches and examples" says why the
+// cluster is simulated).
 // The paper reports near-linear speedup with >= 97% efficiency at 60
 // processors; this bench prints the series and an ASCII speedup plot.
 //
@@ -44,11 +45,7 @@ bool run_measured_section(std::uint64_t photons, std::size_t max_threads,
             << exec::kDefaultShardPhotons << " photons\n\n";
 
   core::SimulationSpec spec;
-  mc::LayeredMediumBuilder builder;
-  builder.add_semi_infinite_layer(
-      "grey matter",
-      mc::OpticalProperties::from_reduced(0.036, 2.2, 0.9, 1.4));
-  spec.kernel.medium = builder.build();
+  spec.kernel.medium = mc::homogeneous_grey_matter();
   spec.photons = photons;
   spec.seed = 2006;
   const core::MonteCarloApp app(spec);

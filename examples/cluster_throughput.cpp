@@ -5,7 +5,7 @@
 //   2. the *simulated* fleets: speedup on 60 homogeneous P4s (Fig. 2) and
 //      a production projection on the 150-client Table 2 fleet.
 //
-// Run: ./cluster_throughput [--photons 60000] [--workers 4] [--threads 1]
+// Run: ./cluster_throughput [--photons 60000] [--workers 4]
 #include <iostream>
 
 #include "cluster/fleet.hpp"
@@ -28,11 +28,7 @@ int main(int argc, char** argv) {
   std::cout << "== Real distributed run (loopback transport, " << workers
             << " workers, 5% frame loss, 10% worker deaths) ==\n\n";
   core::SimulationSpec spec;
-  mc::LayeredMediumBuilder builder;
-  builder.add_semi_infinite_layer(
-      "grey matter",
-      mc::OpticalProperties::from_reduced(0.036, 2.2, 0.9, 1.4));
-  spec.kernel.medium = builder.build();
+  spec.kernel.medium = mc::homogeneous_grey_matter();
   spec.photons = photons;
   spec.seed = 11;
 
@@ -45,9 +41,6 @@ int main(int argc, char** argv) {
   options.transport_faults.drop_probability = 0.05;
   options.worker_death_probability = 0.10;
   options.lease_duration_s = 1.0;
-  // Worker-side shard threads: changes wall time only, never the bits.
-  options.threads_per_worker =
-      static_cast<std::size_t>(args.get_int("threads", 1));
   const core::RunSummary summary = app.run_distributed(options);
 
   util::TextTable stats({"metric", "value"});

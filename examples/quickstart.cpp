@@ -5,11 +5,10 @@
 //   3. run the simulation through the distributed application,
 //   4. read the answers off the merged tally.
 //
-// Build & run:  ./quickstart [--photons 50000] [--workers 4] [--threads 1]
+// Build & run:  ./quickstart [--photons 50000] [--workers 4]
 //               [--kernel-mode {scalar,packet}]
 //               [--metrics-json PATH] [--trace PATH]
-// (--threads N shards each task over a worker-side pool — same bits,
-//  more cores; --kernel-mode packet selects the batched SoA photon loop,
+// (--kernel-mode packet selects the batched SoA photon loop,
 //  ~3x faster and statistically equivalent, with its own deterministic
 //  bit-stream; --metrics-json/--trace dump the run's observability:
 //  counters as JSON, spans as Chrome trace-event JSON for Perfetto)
@@ -32,12 +31,7 @@ int main(int argc, char** argv) {
   // 1. The tissue: grey matter from the paper's Table 1 (µs' = 2.2/mm,
   //    µa = 0.036/mm), anisotropy 0.9, refractive index 1.4, below air.
   core::SimulationSpec spec;
-  mc::LayeredMediumBuilder tissue;
-  tissue.ambient_above(1.0);
-  tissue.add_semi_infinite_layer(
-      "grey matter",
-      mc::OpticalProperties::from_reduced(0.036, 2.2, 0.9, 1.4));
-  spec.kernel.medium = tissue.build();
+  spec.kernel.medium = mc::homogeneous_grey_matter();
 
   // 2. A delta (laser) source at the origin and a 2 mm detector disc
   //    10 mm away on the surface.
@@ -56,8 +50,6 @@ int main(int argc, char** argv) {
   core::MonteCarloApp app(spec);
   core::ExecutionOptions options;
   options.workers = static_cast<std::size_t>(args.get_int("workers", 4));
-  options.threads_per_worker =
-      static_cast<std::size_t>(args.get_int("threads", 1));
   const core::RunSummary summary = app.run_distributed(options);
   const mc::SimulationTally& tally = summary.tally;
 

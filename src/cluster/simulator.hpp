@@ -1,7 +1,8 @@
 // Discrete-event simulator of the master/worker platform on a fleet.
 //
 // This is the substitution substrate for the paper's physical clusters
-// (DESIGN.md §1): this machine has one CPU, so Fig. 2's 60-processor
+// (README.md "Benches and examples"): their 60 Pentium IVs and 150
+// non-dedicated clients are not at hand, so Fig. 2's 60-processor
 // speedup is regenerated by simulating the quantities that wall-clock time
 // actually depends on —
 //   * per-node compute rate [Mflop/s] and its stochastic degradation on

@@ -1,52 +1,47 @@
 #include "core/app.hpp"
 
+#include <exception>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "dist/scheduler.hpp"
 #include "exec/parallel.hpp"
-#include "util/log.hpp"
+#include "util/bytes.hpp"
 #include "util/stopwatch.hpp"
 
 namespace phodis::core {
 
 namespace {
 
-/// The one per-task computation every execution path shares: decode,
-/// rebuild the kernel, run the task's shard plan (optionally on a
-/// pool), serialise the merged task tally.
-std::vector<std::uint8_t> execute_task(exec::ThreadPool* pool,
-                                       std::uint64_t task_id,
-                                       const std::vector<std::uint8_t>& payload) {
-  const TaskPayload task = TaskPayload::decode(payload);
-  const mc::Kernel kernel(task.spec.kernel);
-  const exec::ParallelKernelRunner runner(kernel, pool);
-  const mc::SimulationTally tally =
-      runner.run(task.task_photons, task.spec.seed, task_id);
-
+/// FNV-1a over every task's id and payload: a checkpoint's plan
+/// identity, covering everything a task carries (spec, photons, seed).
+std::uint64_t task_list_hash(const std::vector<dist::TaskRecord>& tasks) {
   util::ByteWriter writer;
-  tally.serialize(writer);
-  return writer.take();
+  writer.u64(tasks.size());
+  for (const dist::TaskRecord& task : tasks) {
+    writer.u64(task.task_id);
+    writer.blob(task.payload);
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::uint8_t byte : writer.bytes()) {
+    hash = (hash ^ byte) * 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> Algorithm::execute(
     std::uint64_t task_id, const std::vector<std::uint8_t>& payload) {
-  return execute_task(nullptr, task_id, payload);
-}
-
-dist::TaskExecutor Algorithm::executor(std::size_t threads) {
-  if (threads == 0) threads = exec::ThreadPool::default_thread_count();
-  if (threads <= 1) return &Algorithm::execute;
-  // One pool shared by every call (and every calling thread); each
-  // call's shard batch completes independently.
-  auto pool = std::make_shared<exec::ThreadPool>(threads);
-  return [pool](std::uint64_t task_id,
-                const std::vector<std::uint8_t>& payload) {
-    return execute_task(pool.get(), task_id, payload);
-  };
+  const TaskPayload task = TaskPayload::decode(payload);
+  const mc::Kernel kernel(task.spec.kernel);
+  const exec::ParallelKernelRunner runner(kernel);
+  return runner.run(task.task_photons, task.spec.seed, task_id).to_bytes();
 }
 
 void ExecutionOptions::validate() const {
@@ -131,6 +126,12 @@ mc::SimulationTally MonteCarloApp::merge_results(
     util::ByteReader reader(bytes);
     merged.merge(mc::SimulationTally::deserialize(reader));
   }
+  if (merged.photons_launched() != spec_.photons) {
+    throw std::invalid_argument(
+        "MonteCarloApp: results launched " +
+        std::to_string(merged.photons_launched()) + " of " +
+        std::to_string(spec_.photons) + " photons (truncated result set)");
+  }
   return merged;
 }
 
@@ -139,42 +140,111 @@ RunSummary MonteCarloApp::run_distributed(
   options.validate();
   util::Stopwatch stopwatch;
 
-  const std::vector<dist::TaskRecord> tasks =
-      build_tasks(options.chunk_photons, options.workers);
+  const std::uint64_t chunk_photons =
+      options.chunk_photons != 0
+          ? options.chunk_photons
+          : dist::suggest_chunk_size(spec_.photons, options.workers);
+  PlanServer server(*this, chunk_photons, options.lease_duration_s);
+  dist::LoopbackTransport transport(options.transport_faults);
 
-  dist::RuntimeConfig runtime_config;
-  runtime_config.worker_count = options.workers;
-  runtime_config.lease_duration_s = options.lease_duration_s;
-  runtime_config.transport_faults = options.transport_faults;
-  runtime_config.worker_death_probability = options.worker_death_probability;
-
-  // The executor's pool is shared by all in-process workers, so size it
-  // for the whole fleet: workers x threads_per_worker compute threads
-  // (0 = saturate the host). threads_per_worker == 1 keeps the classic
-  // path where each worker thread computes its own task directly.
-  const std::size_t pool_threads =
-      options.threads_per_worker == 0
-          ? exec::ThreadPool::default_thread_count()
-          : (options.threads_per_worker > 1
-                 ? options.workers * options.threads_per_worker
-                 : 1);
-  dist::Runtime runtime(runtime_config);
-  dist::RuntimeReport report =
-      runtime.run(tasks, Algorithm::executor(pool_threads));
-
-  if (report.results.size() != tasks.size()) {
-    throw std::runtime_error("MonteCarloApp: missing task results");
+  // The fleet: options.workers task slots, exactly as one phodis_worker
+  // process runs them. A slot failure closes the transport, which ends
+  // the server loop; the slot's exception is the one rethrown.
+  dist::WorkerLoopOptions worker_options;
+  worker_options.name = "w";
+  worker_options.death_probability = options.worker_death_probability;
+  dist::WorkerLoopOutcome fleet;
+  std::exception_ptr fleet_error;
+  std::thread fleet_thread([&] {
+    try {
+      fleet = dist::run_worker_slots(
+          options.workers,
+          [&transport](std::size_t, const std::string&) {
+            return std::make_unique<dist::BorrowedTransport>(transport);
+          },
+          &Algorithm::execute, worker_options);
+    } catch (...) {
+      fleet_error = std::current_exception();
+      transport.shutdown();
+    }
+  });
+  // On the happy path the server loop has addressed a Shutdown to every
+  // slot it heard from; closing the transport wakes any slot that missed
+  // (or lost) its frame. The fleet thread is joined however the loop
+  // ended.
+  std::optional<PlanResult> result;
+  std::exception_ptr server_error;
+  try {
+    result.emplace(server.run(transport));
+  } catch (...) {
+    server_error = std::current_exception();
   }
+  transport.shutdown();
+  fleet_thread.join();
+  if (fleet_error) std::rethrow_exception(fleet_error);
+  if (server_error) std::rethrow_exception(server_error);
 
-  RunSummary summary{.tally = merge_results(report.results)};
-  summary.tasks = tasks.size();
-  summary.manager_stats = report.manager_stats;
-  summary.frames_sent = report.frames_sent;
-  summary.frames_dropped = report.frames_dropped;
-  summary.bytes_sent = report.bytes_sent;
-  summary.workers_died = report.workers_died;
+  RunSummary summary{.tally = std::move(result->tally)};
+  summary.tasks = server.task_count();
+  summary.manager_stats = result->manager_stats;
+  summary.frames_sent = transport.frames_sent();
+  summary.frames_dropped = transport.frames_dropped();
+  summary.bytes_sent = transport.bytes_sent();
+  summary.workers_died = fleet.deaths;
   summary.wall_seconds = stopwatch.seconds();
   return summary;
+}
+
+PlanServer::PlanServer(const MonteCarloApp& app, std::uint64_t chunk_photons,
+                       double lease_s, std::string checkpoint_path)
+    : checkpoint_path_(std::move(checkpoint_path)),
+      manager_(lease_s),
+      merger_(app.spec()) {
+  const std::vector<dist::TaskRecord> tasks =
+      app.build_tasks(chunk_photons, 1);
+  task_count_ = tasks.size();
+  manager_.set_result_sink(
+      [this](std::uint64_t task_id, std::vector<std::uint8_t> bytes) {
+        merger_.fold(task_id, std::move(bytes));
+      });
+
+  const std::string meta_path = checkpoint_path_ + ".meta";
+  const std::string fingerprint =
+      std::to_string(task_list_hash(tasks)) + "\n";
+  if (!checkpoint_path_.empty() && std::filesystem::exists(checkpoint_path_)) {
+    std::ifstream in(meta_path);
+    const std::string recorded((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    if (recorded != fingerprint) {
+      throw std::runtime_error(checkpoint_path_ +
+                               " was written for a different task plan (see " +
+                               meta_path + "); refusing to resume");
+    }
+    merger_.restore(manager_.restore_from_file(checkpoint_path_));
+    resumed_ = true;
+    return;
+  }
+  if (!checkpoint_path_.empty()) {
+    std::ofstream out(meta_path, std::ios::trunc);
+    out << fingerprint;
+    if (!out) throw std::runtime_error("cannot write " + meta_path);
+  }
+  for (const dist::TaskRecord& task : tasks) {
+    manager_.add_task(task.task_id, task.payload);
+  }
+}
+
+PlanResult PlanServer::run(dist::Transport& transport,
+                           dist::ServerLoopOptions options) {
+  options.checkpoint_path = checkpoint_path_;
+  options.checkpoint_state = [this] { return merger_.state_bytes(); };
+  dist::run_server_loop(transport, manager_, options);
+  if (merger_.frontier() != task_count_) {
+    throw std::runtime_error("PlanServer: merged " +
+                             std::to_string(merger_.frontier()) + " of " +
+                             std::to_string(task_count_) + " tasks");
+  }
+  return PlanResult{merger_.merged(), manager_.stats()};
 }
 
 }  // namespace phodis::core

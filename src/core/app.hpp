@@ -6,27 +6,32 @@
 //    resides on the client PCs, takes in parameters from the DataManager,
 //    performs Monte Carlo simulations and returns the results."
 //
-// The app splits a photon budget into tasks, runs them on the distributed
-// runtime (or serially), and merges the returned tallies **in task-id
-// order**, so for a given task plan (chunk size) the final result is
-// bitwise identical regardless of worker count, scheduling, injected
-// faults, or whether the run was serial — the reproducibility property
-// DESIGN.md §4.1 commits to. Note the task plan itself is only fixed
-// when chunk_photons is explicit: auto-chunking (chunk_photons = 0)
-// scales the chunk size with the worker count.
+// The app splits a photon budget into tasks and runs them serially, or
+// through PlanServer (the DataManager side) over any transport: the
+// in-process loopback fleet of run_distributed, or phodis_worker
+// processes over sockets. Tallies merge **in task-id order**, so for a
+// given task plan (chunk size) the final result is bitwise identical
+// regardless of worker count, scheduling, injected faults, or whether
+// the run was serial — the reproducibility contract of README.md's
+// "Reproducibility contract" section. Note the task plan itself is only
+// fixed when chunk_photons is explicit: auto-chunking (chunk_photons =
+// 0) scales the chunk size with the worker count.
 //
 // Inside a task, photons run as the fixed shard plan of
 // exec::ParallelKernelRunner (jump()-derived sub-streams, merged in
 // shard order), so a task's tally is also bitwise identical whether its
-// shards ran on 1 thread or 16 — run_serial, run_parallel, and every
-// worker thread count all produce the same bytes.
+// shards ran on 1 thread or 16 — run_serial and run_parallel at every
+// thread count produce the same bytes.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "core/merger.hpp"
 #include "core/spec.hpp"
+#include "dist/datamanager.hpp"
 #include "dist/runtime.hpp"
 #include "mc/tally.hpp"
 
@@ -41,25 +46,14 @@ class Algorithm {
   /// Single-threaded execution of the task's shard plan.
   static std::vector<std::uint8_t> execute(
       std::uint64_t task_id, const std::vector<std::uint8_t>& payload);
-
-  /// A TaskExecutor running each task's shards on `threads` pool
-  /// threads (0 = one per core). The pool is shared across calls and
-  /// the executor is thread-safe; results are bitwise identical to
-  /// execute() for any thread count.
-  static dist::TaskExecutor executor(std::size_t threads);
 };
 
 struct ExecutionOptions {
+  /// In-process task slots (dist::run_worker_slots); each runs one task
+  /// at a time on its own thread.
   std::size_t workers = 2;
   /// Photons per task; 0 picks a size giving each worker ~4 pulls.
   std::uint64_t chunk_photons = 0;
-  /// Shard threads per worker (1 = each worker computes its task on its
-  /// own thread, the classic path). For values > 1 the workers share one
-  /// pool sized workers x threads_per_worker, so total compute
-  /// parallelism never drops below the workers-only baseline; 0 sizes
-  /// that shared pool to the host's hardware threads instead (saturate
-  /// the machine, however many workers). Does not change results.
-  std::size_t threads_per_worker = 1;
   double lease_duration_s = 5.0;
   dist::FaultSpec transport_faults;
   double worker_death_probability = 0.0;
@@ -95,24 +89,25 @@ class MonteCarloApp {
   mc::SimulationTally run_parallel(std::size_t threads,
                                    std::uint64_t chunk_photons = 0) const;
 
-  /// Full platform execution: DataManager + worker pool over the loopback
-  /// transport, with optional fault injection.
+  /// Full platform execution: a PlanServer and a fleet of
+  /// options.workers task slots over one LoopbackTransport, with optional
+  /// fault injection.
   RunSummary run_distributed(const ExecutionOptions& options) const;
 
   /// The task plan for a given chunk size (0 = auto for `workers`).
   std::vector<std::uint64_t> plan_chunks(std::uint64_t chunk_photons,
                                          std::size_t workers) const;
 
-  /// Encode the plan into TaskRecords — what run_distributed feeds the
-  /// in-process runtime and what phodis_server serves over sockets.
+  /// Encode the plan into TaskRecords — what PlanServer serves.
   std::vector<dist::TaskRecord> build_tasks(std::uint64_t chunk_photons,
                                             std::size_t workers) const;
 
   /// Merge serialised partial tallies in task-id order; for a fixed task
   /// plan the result is bitwise identical no matter which worker (or
   /// process, or machine) computed each part. Every task plan numbers
-  /// its tasks 0..n-1, so results whose ids are not exactly that dense
-  /// range (e.g. from a stale checkpoint of a different run) throw.
+  /// its tasks 0..n-1 and launches spec().photons in total, so results
+  /// whose ids are not that dense range, or that miss photons (a
+  /// truncated set), throw.
   mc::SimulationTally merge_results(
       const std::map<std::uint64_t, std::vector<std::uint8_t>>& results)
       const;
@@ -121,6 +116,52 @@ class MonteCarloApp {
 
  private:
   SimulationSpec spec_;
+};
+
+/// What a served plan produced.
+struct PlanResult {
+  /// Every task's tally, merged in task-id order.
+  mc::SimulationTally tally;
+  dist::DataManagerStats manager_stats;
+};
+
+/// The server side of one plan run (the paper's DataManager), shared by
+/// phodis_server and MonteCarloApp::run_distributed: a DataManager over
+/// the plan's tasks, every first-accepted result folded into an
+/// IncrementalTallyMerger, optionally checkpointed so a killed server
+/// resumes. Set-up (task build, resume) happens in the constructor, so
+/// a socket server can bind after it.
+class PlanServer {
+ public:
+  /// Builds `app`'s tasks at `chunk_photons` (0 = auto for one worker,
+  /// as run_serial), leased for `lease_s`. With a `checkpoint_path`: if
+  /// that file exists the run resumes from it, provided the sidecar
+  /// `<checkpoint_path>.meta` holds the 64-bit hash of these encoded
+  /// tasks (else std::runtime_error: it is another plan's checkpoint);
+  /// otherwise the hash is written there for a later resume.
+  PlanServer(const MonteCarloApp& app, std::uint64_t chunk_photons,
+             double lease_s, std::string checkpoint_path = {});
+
+  std::size_t task_count() const noexcept { return task_count_; }
+  /// True when the constructor restored a checkpoint.
+  bool resumed() const noexcept { return resumed_; }
+  /// Tasks complete so far (after a resume, those the checkpoint held).
+  std::uint64_t completed_count() const { return manager_.completed_count(); }
+
+  /// Serve the remaining tasks over `transport` with dist::run_server_loop
+  /// (this server's checkpoint path and merger state replace those fields
+  /// of `options`), check that every task completed, and return the
+  /// merged tally. Throws whatever the loop throws (transport closed,
+  /// checkpoint I/O). Call once.
+  PlanResult run(dist::Transport& transport,
+                 dist::ServerLoopOptions options = {});
+
+ private:
+  std::size_t task_count_ = 0;
+  std::string checkpoint_path_;
+  bool resumed_ = false;
+  dist::DataManager manager_;
+  IncrementalTallyMerger merger_;
 };
 
 }  // namespace phodis::core

@@ -5,7 +5,6 @@
 #include <exception>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -398,94 +397,6 @@ WorkerLoopOutcome run_worker_slots(std::size_t slots,
     total.saw_shutdown = total.saw_shutdown || outcome.saw_shutdown;
   }
   return total;
-}
-
-void RuntimeConfig::validate() const {
-  if (worker_count == 0) {
-    throw std::invalid_argument("RuntimeConfig: need >= 1 worker");
-  }
-  if (!(lease_duration_s > 0.0)) {
-    throw std::invalid_argument("RuntimeConfig: lease must be > 0");
-  }
-  transport_faults.validate();
-  if (worker_death_probability < 0.0 || worker_death_probability >= 1.0) {
-    throw std::invalid_argument(
-        "RuntimeConfig: worker_death_probability must be in [0, 1)");
-  }
-}
-
-Runtime::Runtime(RuntimeConfig config) : config_(config) {
-  config_.validate();
-}
-
-Runtime::Runtime(RuntimeConfig config, Transport& transport)
-    : config_(config), transport_(&transport) {
-  config_.validate();
-}
-
-RuntimeReport Runtime::run(const std::vector<TaskRecord>& tasks,
-                           const TaskExecutor& executor) {
-  util::Stopwatch clock;
-  std::optional<LoopbackTransport> owned_transport;
-  Transport* transport = transport_;
-  if (transport == nullptr) {
-    owned_transport.emplace(config_.transport_faults);
-    transport = &*owned_transport;
-  }
-
-  DataManager manager(config_.lease_duration_s);
-  for (const TaskRecord& task : tasks) {
-    manager.add_task(task.task_id, task.payload);
-  }
-
-  std::atomic<bool> done{false};
-  std::atomic<std::size_t> deaths{0};
-  std::vector<std::thread> workers;
-  workers.reserve(config_.worker_count);
-  for (std::size_t slot = 0; slot < config_.worker_count; ++slot) {
-    workers.emplace_back([&, slot] {
-      WorkerLoopOptions options;
-      options.name = "w";
-      options.name += std::to_string(slot);
-      options.death_probability = config_.worker_death_probability;
-      options.death_seed = util::mix64(config_.fault_seed, slot);
-      options.keep_running = [&done] { return !done.load(); };
-      const WorkerLoopOutcome outcome =
-          run_worker_loop(*transport, executor, options);
-      deaths.fetch_add(outcome.deaths);
-    });
-  }
-
-  // Drain: on the happy path the server loop has addressed a Shutdown to
-  // every worker it heard from; closing the transport wakes any receiver
-  // that missed (or lost) its frame. Must also run when the server loop
-  // throws (checkpoint I/O failure, transport closed under us) — letting
-  // joinable std::threads unwind would std::terminate the process.
-  const auto drain = [&] {
-    done.store(true);
-    transport->shutdown();
-    for (std::thread& worker : workers) worker.join();
-    workers.clear();
-  };
-  ServerLoopOptions server_options;
-  server_options.checkpoint_path = config_.checkpoint_path;
-  try {
-    run_server_loop(*transport, manager, server_options);
-  } catch (...) {
-    drain();
-    throw;
-  }
-  drain();
-
-  RuntimeReport report;
-  report.results = manager.results();
-  report.manager_stats = manager.stats();
-  report.frames_sent = transport->frames_sent();
-  report.frames_dropped = transport->frames_dropped();
-  report.bytes_sent = transport->bytes_sent();
-  report.workers_died = deaths.load();
-  report.wall_seconds = clock.seconds();
-  return report;
 }
 
 }  // namespace phodis::dist

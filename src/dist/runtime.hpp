@@ -1,22 +1,21 @@
 // The distributed runtime: the RequestWork/AssignTask/TaskResult
 // protocol, factored into a server loop and a worker loop that run over
-// any Transport — the in-process loopback (Runtime bundles both sides
-// behind one call, the original threaded simulation) or real sockets
-// (phodis_server runs run_server_loop over a net::Server, each
-// phodis_worker process runs run_worker_slots: one run_worker_loop per
-// task slot, each over its own net::Client).
+// any Transport — the in-process loopback or real sockets. The server
+// side is core::PlanServer, which runs run_server_loop; the worker side
+// is run_worker_slots, one run_worker_loop per task slot, each over its
+// own transport (a net::Client in phodis_worker, a handle on the shared
+// loopback in MonteCarloApp::run_distributed).
 //
 // Faults are first-class: frames may be dropped (FaultSpec) and workers
 // may die mid-assignment (death_probability, or a real SIGKILL); lease
 // expiry plus exactly-once completion in the DataManager guarantee every
-// task's result is collected exactly once regardless. A dead in-process
-// worker is replaced immediately (the fleet keeps its size), modelling
-// the paper's non-dedicated client churn.
+// task's result is collected exactly once regardless. A dead worker
+// rejoins immediately under a fresh name (the fleet keeps its size),
+// modelling the paper's non-dedicated client churn.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,56 +147,5 @@ WorkerLoopOutcome run_worker_slots(std::size_t slots,
                                    const SlotTransportFactory& make_transport,
                                    const TaskExecutor& executor,
                                    const WorkerLoopOptions& options);
-
-struct RuntimeConfig {
-  std::size_t worker_count = 2;
-  double lease_duration_s = 30.0;
-  FaultSpec transport_faults;
-  /// Per-assignment probability that a worker dies instead of
-  /// executing, in [0, 1). Its replacement joins under a fresh name.
-  double worker_death_probability = 0.0;
-  /// Seed of the worker-death streams (independent of transport faults).
-  std::uint64_t fault_seed = 2006;
-  /// Server-side checkpointing (see ServerLoopOptions).
-  std::string checkpoint_path;
-
-  void validate() const;
-};
-
-struct RuntimeReport {
-  /// First-accepted result per task, keyed (and hence iterated) by id.
-  std::map<std::uint64_t, std::vector<std::uint8_t>> results;
-  DataManagerStats manager_stats;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t bytes_sent = 0;
-  std::size_t workers_died = 0;
-  double wall_seconds = 0.0;
-};
-
-/// Both sides of the protocol behind one blocking call: a DataManager
-/// fed by the server loop on the calling thread, plus a pool of worker
-/// threads, all speaking over one shared transport.
-class Runtime {
- public:
-  /// Runs over an owned LoopbackTransport configured from
-  /// `config.transport_faults`.
-  explicit Runtime(RuntimeConfig config);
-
-  /// Runs over `transport` (borrowed; must outlive run()). The
-  /// transport's own fault configuration applies;
-  /// `config.transport_faults` is ignored. Note run() shuts the
-  /// transport down when the pool drains — a transport carries one run.
-  Runtime(RuntimeConfig config, Transport& transport);
-
-  /// Run every task to completion and collect the results. Blocks until
-  /// the pool has drained; the server loop runs on the calling thread.
-  RuntimeReport run(const std::vector<TaskRecord>& tasks,
-                    const TaskExecutor& executor);
-
- private:
-  RuntimeConfig config_;
-  Transport* transport_ = nullptr;
-};
 
 }  // namespace phodis::dist

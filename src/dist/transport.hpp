@@ -110,4 +110,34 @@ class LoopbackTransport final : public Transport {
   std::uint64_t bytes_sent_ = 0;
 };
 
+/// Forwards every call to a transport it does not own, so several owners
+/// (run_worker_slots' slots, say) can share one LoopbackTransport.
+/// `inner` must outlive it.
+class BorrowedTransport final : public Transport {
+ public:
+  explicit BorrowedTransport(Transport& inner) : inner_(inner) {}
+
+  void send(const std::string& endpoint, const Message& msg) override {
+    inner_.send(endpoint, msg);
+  }
+  std::optional<Message> try_receive(const std::string& endpoint) override {
+    return inner_.try_receive(endpoint);
+  }
+  std::optional<Message> receive(const std::string& endpoint,
+                                 std::int64_t timeout_ms) override {
+    return inner_.receive(endpoint, timeout_ms);
+  }
+  void shutdown() override { inner_.shutdown(); }
+  bool closed() const override { return inner_.closed(); }
+
+  std::uint64_t frames_sent() const override { return inner_.frames_sent(); }
+  std::uint64_t frames_dropped() const override {
+    return inner_.frames_dropped();
+  }
+  std::uint64_t bytes_sent() const override { return inner_.bytes_sent(); }
+
+ private:
+  Transport& inner_;
+};
+
 }  // namespace phodis::dist

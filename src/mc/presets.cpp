@@ -35,16 +35,29 @@ LayeredMedium adult_head_model(double g, double n_tissue) {
   return builder.build();
 }
 
-LayeredMedium homogeneous_white_matter(double g, double n_tissue) {
-  const auto& white = table1_rows().back();
+namespace {
+
+/// One Table 1 row as a semi-infinite medium under air.
+LayeredMedium homogeneous_row(const Table1Row& row, double g,
+                              double n_tissue) {
   LayeredMediumBuilder builder;
   builder.ambient_above(kAirRefractiveIndex)
       .ambient_below(kAirRefractiveIndex);
   builder.add_semi_infinite_layer(
-      white.tissue,
-      OpticalProperties::from_reduced(white.mua_per_mm, white.mus_prime_per_mm,
-                                      g, n_tissue));
+      row.tissue,
+      OpticalProperties::from_reduced(row.mua_per_mm, row.mus_prime_per_mm, g,
+                                      n_tissue));
   return builder.build();
+}
+
+}  // namespace
+
+LayeredMedium homogeneous_white_matter(double g, double n_tissue) {
+  return homogeneous_row(table1_rows().back(), g, n_tissue);
+}
+
+LayeredMedium homogeneous_grey_matter(double g, double n_tissue) {
+  return homogeneous_row(table1_rows()[3], g, n_tissue);
 }
 
 LayeredMedium two_layer_model(double g, double n_tissue) {

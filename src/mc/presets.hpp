@@ -47,6 +47,12 @@ LayeredMedium homogeneous_white_matter(double g = kTissueAnisotropy,
                                        double n_tissue =
                                            kTissueRefractiveIndex);
 
+/// Homogeneous semi-infinite grey matter (Table 1's grey row), air above
+/// and below — the medium phodis_server serves and the walkthroughs use.
+LayeredMedium homogeneous_grey_matter(double g = kTissueAnisotropy,
+                                      double n_tissue =
+                                          kTissueRefractiveIndex);
+
 /// Two-layer phantom: 4 mm of grey matter over semi-infinite white matter
 /// (the Table 1 rows), air above and below. The benchmark and golden-test
 /// workhorse: one refracting interior interface, one exterior interface,

@@ -1,7 +1,8 @@
 // Deterministic pseudo-random number generation for the Monte Carlo kernel
 // and the distributed platform.
 //
-// Requirements that shaped this module (DESIGN.md §4.1):
+// Requirements that shaped this module (the reproducibility contract,
+// README.md "Reproducibility contract"):
 //  * Every distributed task must own an independent, reproducible stream
 //    derived from (base seed, task id), so that the merged simulation result
 //    is identical no matter how tasks are scheduled across workers.

@@ -1,7 +1,16 @@
 // Tests for MonteCarloApp: the headline reproducibility property (serial
 // == distributed, bitwise, under any worker count and fault injection)
-// plus execution-option handling and the incremental result merger.
+// plus execution-option handling, the incremental result merger, and
+// PlanServer's checkpoint resume and refusal.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <exception>
+#include <filesystem>
+#include <memory>
+#include <optional>
+#include <thread>
 
 #include "core/app.hpp"
 #include "core/merger.hpp"
@@ -9,6 +18,8 @@
 
 namespace phodis::core {
 namespace {
+
+namespace fs = std::filesystem;
 
 SimulationSpec small_spec(std::uint64_t photons = 4000) {
   SimulationSpec spec;
@@ -145,6 +156,19 @@ TEST(App, ReportsPlatformStatistics) {
   EXPECT_GT(summary.wall_seconds, 0.0);
 }
 
+TEST(App, MergeResultsRejectsATruncatedResultSet) {
+  // Tasks 0 and 1 of a 4-task plan are a dense prefix, but they launched
+  // only half the photons.
+  const MonteCarloApp app(small_spec(2000));
+  const auto tasks = app.build_tasks(500, 1);
+  ASSERT_EQ(tasks.size(), 4u);
+  std::map<std::uint64_t, std::vector<std::uint8_t>> results;
+  for (std::uint64_t id : {0u, 1u}) {
+    results.emplace(id, Algorithm::execute(id, tasks[id].payload));
+  }
+  EXPECT_THROW(app.merge_results(results), std::invalid_argument);
+}
+
 TEST(IncrementalTallyMerger, OutOfOrderFoldMatchesMergeResultsBitwise) {
   const SimulationSpec spec = small_spec(3000);
   const MonteCarloApp app(spec);
@@ -232,6 +256,114 @@ TEST(App, GridsSurviveDistributionAndMerge) {
   ASSERT_NE(distributed.tally.fluence_grid(), nullptr);
   EXPECT_EQ(distributed.tally.fluence_grid()->total(),
             serial.fluence_grid()->total());
+}
+
+/// Serve `server`'s plan to `slots` in-process task slots running
+/// `executor`, as run_distributed does. A slot's failure closes the
+/// transport; the fleet is joined however the run ends.
+PlanResult serve(PlanServer& server, const dist::TaskExecutor& executor,
+                 std::size_t slots = 2,
+                 const dist::ServerLoopOptions& options = {}) {
+  dist::LoopbackTransport transport;
+  std::thread fleet([&] {
+    try {
+      dist::run_worker_slots(
+          slots,
+          [&transport](std::size_t, const std::string&) {
+            return std::make_unique<dist::BorrowedTransport>(transport);
+          },
+          executor, dist::WorkerLoopOptions{});
+    } catch (...) {
+      transport.shutdown();
+    }
+  });
+  std::optional<PlanResult> result;
+  std::exception_ptr error;
+  try {
+    result.emplace(server.run(transport, options));
+  } catch (...) {
+    error = std::current_exception();
+  }
+  transport.shutdown();
+  fleet.join();
+  if (error) std::rethrow_exception(error);
+  return std::move(*result);
+}
+
+/// A checkpoint path in the temp dir with no file, sidecar or temp file
+/// left from an earlier run.
+std::string fresh_checkpoint_path(const std::string& name) {
+  const std::string path =
+      (fs::temp_directory_path() /
+       ("phodis_plan_" + name + "_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  for (const char* suffix : {"", ".meta", ".tmp"}) {
+    fs::remove_all(path + suffix);
+  }
+  return path;
+}
+
+TEST(PlanServer, ResumesAKilledRunFromItsCheckpoint) {
+  const MonteCarloApp app(small_spec(3000));
+  const std::string path = fresh_checkpoint_path("resume");
+  {
+    // The only worker fails on its third task. It asks for that task
+    // after sending the second result, so the server has accepted and
+    // checkpointed two results when the transport closes.
+    PlanServer first(app, 500, 30.0, path);
+    EXPECT_FALSE(first.resumed());
+    std::atomic<int> calls{0};
+    const dist::TaskExecutor fails_third =
+        [&calls](std::uint64_t task_id,
+                 const std::vector<std::uint8_t>& payload) {
+          if (calls.fetch_add(1) == 2) throw std::runtime_error("lost");
+          return Algorithm::execute(task_id, payload);
+        };
+    dist::ServerLoopOptions options;
+    options.checkpoint_every = 1;
+    EXPECT_THROW(serve(first, fails_third, 1, options), std::runtime_error);
+  }
+  PlanServer second(app, 500, 30.0, path);
+  EXPECT_TRUE(second.resumed());
+  EXPECT_EQ(second.task_count(), 6u);
+  EXPECT_EQ(second.completed_count(), 2u);
+  const PlanResult result = serve(second, &Algorithm::execute);
+  EXPECT_EQ(result.tally.to_bytes(), app.run_serial(500).to_bytes());
+  for (const char* suffix : {"", ".meta"}) fs::remove(path + suffix);
+}
+
+TEST(PlanServer, RefusesTheCheckpointOfAnotherPlan) {
+  SimulationSpec spec = small_spec(2000);
+  const MonteCarloApp app(spec);
+  const std::string path = fresh_checkpoint_path("refuse");
+  {
+    PlanServer first(app, 500, 30.0, path);
+    serve(first, &Algorithm::execute);
+  }
+  // Same photons, chunk, seed and kernel mode, but another tally config.
+  spec.kernel.tally.enable_fluence_grid = true;
+  spec.kernel.tally.fluence_spec = mc::GridSpec::cube(10, 10.0, 10.0);
+  const MonteCarloApp other(spec);
+  EXPECT_THROW(PlanServer(other, 500, 30.0, path), std::runtime_error);
+  // The plan that wrote the checkpoint still resumes it: all done.
+  const PlanServer same(app, 500, 30.0, path);
+  EXPECT_TRUE(same.resumed());
+  EXPECT_EQ(same.completed_count(), same.task_count());
+  for (const char* suffix : {"", ".meta"}) fs::remove(path + suffix);
+}
+
+TEST(PlanServer, SurfacesACheckpointWriteFailureFromRun) {
+  // A checkpoint is written to <path>.tmp, then renamed; a directory
+  // there fails every write, while set-up's .meta sidecar succeeds.
+  const MonteCarloApp app(small_spec(2000));
+  const std::string path = fresh_checkpoint_path("unwritable");
+  fs::create_directory(path + ".tmp");
+  PlanServer server(app, 500, 30.0, path);
+  dist::ServerLoopOptions options;
+  options.checkpoint_every = 1;
+  EXPECT_THROW(serve(server, &Algorithm::execute, 2, options),
+               std::runtime_error);
+  for (const char* suffix : {"", ".meta", ".tmp"}) fs::remove_all(path + suffix);
 }
 
 }  // namespace

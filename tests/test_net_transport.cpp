@@ -320,11 +320,7 @@ TEST(SocketTransport, TornFrameCountsPeersButNotTheServersOwnShutdown) {
 /// A plan on phodis_server's medium (semi-infinite grey matter), seed 11.
 core::SimulationSpec grey_matter_spec(std::uint64_t photons) {
   core::SimulationSpec spec;
-  mc::LayeredMediumBuilder builder;
-  builder.add_semi_infinite_layer(
-      "grey matter",
-      mc::OpticalProperties::from_reduced(0.036, 2.2, 0.9, 1.4));
-  spec.kernel.medium = builder.build();
+  spec.kernel.medium = mc::homogeneous_grey_matter();
   spec.photons = photons;
   spec.seed = 11;
   return spec;

@@ -237,6 +237,23 @@ TEST(Presets, HomogeneousWhiteMatter) {
   EXPECT_DOUBLE_EQ(wm.layer(0).props.mua, 0.014);
 }
 
+TEST(Presets, HomogeneousGreyMatterIsTheTable1GreyRowUnderAir) {
+  // perfbench builds these optics by hand and compares its reference
+  // tally with phodis_server's bitwise, so they must match exactly.
+  const LayeredMedium gm = homogeneous_grey_matter();
+  ASSERT_EQ(gm.layer_count(), 1u);
+  EXPECT_TRUE(gm.semi_infinite());
+  EXPECT_EQ(gm.layer(0).name, "Grey matter");
+  const OpticalProperties expected =
+      OpticalProperties::from_reduced(0.036, 2.2, 0.9, 1.4);
+  EXPECT_EQ(gm.layer(0).props.mua, expected.mua);
+  EXPECT_EQ(gm.layer(0).props.mus, expected.mus);
+  EXPECT_EQ(gm.layer(0).props.g, expected.g);
+  EXPECT_EQ(gm.layer(0).props.n, expected.n);
+  EXPECT_EQ(gm.n_above(), 1.0);
+  EXPECT_EQ(gm.n_below(), 1.0);
+}
+
 TEST(Presets, HomogeneousSlabAndSemiInfinite) {
   OpticalProperties p = simple_props(1.0);
   const LayeredMedium slab = homogeneous_slab(p, 5.0, 1.0);

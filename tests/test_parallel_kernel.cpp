@@ -1,10 +1,10 @@
 // The determinism contract of the parallel execution subsystem: the same
 // seed at 1, 2, 4, and 8 threads produces bitwise-identical tallies,
-// equal to run_serial — through the runner directly, through
-// MonteCarloApp::run_parallel, and through the distributed runtime with
-// multi-threaded workers.
+// equal to run_serial — through the runner directly and through
+// MonteCarloApp::run_parallel.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "core/app.hpp"
@@ -114,34 +114,6 @@ TEST(App, RunParallelConservesEnergyAndBudget) {
   const mc::SimulationTally tally = app.run_parallel(4);
   EXPECT_EQ(tally.photons_launched(), 12'000u);
   EXPECT_LT(tally.weight_conservation_error(), 1e-6 * 12'000);
-}
-
-TEST(App, DistributedWithThreadedWorkersMatchesSerialBitwise) {
-  const core::MonteCarloApp app(small_spec(10'000));
-  const std::vector<std::uint8_t> serial = app.run_serial(2'000).to_bytes();
-
-  core::ExecutionOptions options;
-  options.workers = 2;
-  options.chunk_photons = 2'000;  // pin the plan to the serial one
-  options.threads_per_worker = 3;
-  const core::RunSummary summary = app.run_distributed(options);
-  EXPECT_EQ(summary.tally.to_bytes(), serial);
-}
-
-TEST(Algorithm, ExecutorIsBitwiseIdenticalToExecuteForAnyThreadCount) {
-  const core::SimulationSpec spec = small_spec(9'000);
-  const core::MonteCarloApp app(spec);
-  const auto tasks = app.build_tasks(3'000, 1);
-  ASSERT_GE(tasks.size(), 2u);
-
-  for (std::size_t threads : {2u, 8u}) {
-    const dist::TaskExecutor threaded = core::Algorithm::executor(threads);
-    for (const dist::TaskRecord& task : tasks) {
-      EXPECT_EQ(threaded(task.task_id, task.payload),
-                core::Algorithm::execute(task.task_id, task.payload))
-          << "task " << task.task_id << " at " << threads << " threads";
-    }
-  }
 }
 
 }  // namespace

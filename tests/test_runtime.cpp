@@ -1,9 +1,13 @@
-// End-to-end tests of the distributed runtime: the full
-// RequestWork/AssignTask/TaskResult protocol with fault injection.
+// End-to-end tests of the distributed protocol: run_server_loop against
+// a run_worker_slots fleet over one LoopbackTransport — the in-process
+// pairing MonteCarloApp::run_distributed uses — with fault injection.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
+#include <exception>
+#include <map>
+#include <memory>
+#include <thread>
 
 #include "dist/runtime.hpp"
 #include "dist/transport.hpp"
@@ -28,158 +32,147 @@ std::vector<TaskRecord> make_tasks(std::size_t count) {
   return tasks;
 }
 
-TEST(RuntimeConfig, Validation) {
-  RuntimeConfig config;
-  config.worker_count = 0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.worker_count = 1;
-  config.lease_duration_s = 0.0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.lease_duration_s = 1.0;
-  config.worker_death_probability = 1.0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+struct Fleet {
+  std::size_t slots = 2;
+  FaultSpec faults{};
+  double lease_s = 30.0;
+  double death_probability = 0.0;
+  std::uint64_t death_seed = 2006;
+};
+
+struct Served {
+  std::map<std::uint64_t, std::vector<std::uint8_t>> results;
+  DataManagerStats stats;
+  WorkerLoopOutcome outcome;
+  std::uint64_t frames_dropped = 0;
+};
+
+/// Serve `tasks` to `fleet.slots` task slots of one run_worker_slots
+/// call, both sides over one shared loopback.
+Served serve(const std::vector<TaskRecord>& tasks,
+             const TaskExecutor& executor, const Fleet& fleet = {}) {
+  LoopbackTransport transport(fleet.faults);
+  DataManager manager(fleet.lease_s);
+  for (const TaskRecord& task : tasks) {
+    manager.add_task(task.task_id, task.payload);
+  }
+  WorkerLoopOptions options;
+  options.name = "w";
+  options.death_probability = fleet.death_probability;
+  options.death_seed = fleet.death_seed;
+  Served served;
+  std::thread workers([&] {
+    served.outcome = run_worker_slots(
+        fleet.slots,
+        [&transport](std::size_t, const std::string&) {
+          return std::make_unique<BorrowedTransport>(transport);
+        },
+        executor, options);
+  });
+  std::exception_ptr error;
+  try {
+    run_server_loop(transport, manager);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  transport.shutdown();  // wakes slots that missed their Shutdown
+  workers.join();
+  if (error) std::rethrow_exception(error);
+  served.results = manager.results();
+  served.stats = manager.stats();
+  served.frames_dropped = transport.frames_dropped();
+  return served;
 }
 
-TEST(Runtime, CompletesAllTasksSingleWorker) {
-  RuntimeConfig config;
-  config.worker_count = 1;
-  Runtime runtime(config);
+TEST(WorkerSlotsOverLoopback, CompletesAllTasksSingleWorker) {
   const auto tasks = make_tasks(16);
-  const RuntimeReport report = runtime.run(tasks, doubler);
-  ASSERT_EQ(report.results.size(), 16u);
+  const Served served = serve(tasks, doubler, {.slots = 1});
+  ASSERT_EQ(served.results.size(), 16u);
   for (const auto& task : tasks) {
-    const auto& result = report.results.at(task.task_id);
+    const auto& result = served.results.at(task.task_id);
     ASSERT_EQ(result.size(), 2u);
     EXPECT_EQ(result[0], static_cast<std::uint8_t>(task.payload[0] * 2));
   }
-  EXPECT_EQ(report.manager_stats.completions, 16u);
+  EXPECT_EQ(served.stats.completions, 16u);
 }
 
-TEST(Runtime, CompletesWithManyWorkers) {
-  RuntimeConfig config;
-  config.worker_count = 8;
-  Runtime runtime(config);
-  const RuntimeReport report = runtime.run(make_tasks(64), doubler);
-  EXPECT_EQ(report.results.size(), 64u);
+TEST(WorkerSlotsOverLoopback, CompletesWithManyWorkers) {
+  const Served served = serve(make_tasks(64), doubler, {.slots = 8});
+  EXPECT_EQ(served.results.size(), 64u);
+  EXPECT_GE(served.outcome.tasks_executed, 64u);
 }
 
-TEST(Runtime, EmptyTaskListTerminatesImmediately) {
-  RuntimeConfig config;
-  config.worker_count = 2;
-  Runtime runtime(config);
-  const RuntimeReport report = runtime.run({}, doubler);
-  EXPECT_TRUE(report.results.empty());
+TEST(WorkerSlotsOverLoopback, EmptyTaskListTerminatesImmediately) {
+  const Served served = serve({}, doubler);
+  EXPECT_TRUE(served.results.empty());
+  EXPECT_EQ(served.outcome.tasks_executed, 0u);
 }
 
-TEST(Runtime, ExecutorSeesCorrectTaskIds) {
+TEST(WorkerSlotsOverLoopback, ExecutorSeesCorrectTaskIds) {
   std::atomic<std::uint64_t> id_sum{0};
   auto executor = [&](std::uint64_t task_id,
                       const std::vector<std::uint8_t>&) {
     id_sum.fetch_add(task_id);
     return std::vector<std::uint8_t>{};
   };
-  RuntimeConfig config;
-  config.worker_count = 3;
-  Runtime runtime(config);
-  runtime.run(make_tasks(10), executor);
+  serve(make_tasks(10), executor, {.slots = 3});
   // 0+1+..+9 = 45; duplicates possible only via lease expiry (none here,
   // leases are long and the executor is instant).
   EXPECT_EQ(id_sum.load(), 45u);
 }
 
-TEST(Runtime, SurvivesDroppedFrames) {
-  RuntimeConfig config;
-  config.worker_count = 4;
-  config.transport_faults.drop_probability = 0.10;
-  config.transport_faults.seed = 11;
-  config.lease_duration_s = 0.2;  // fast recovery of lost assignments
-  Runtime runtime(config);
-  const RuntimeReport report = runtime.run(make_tasks(40), doubler);
-  ASSERT_EQ(report.results.size(), 40u);
-  EXPECT_GT(report.frames_dropped, 0u);
+TEST(WorkerSlotsOverLoopback, SurvivesDroppedFrames) {
+  // Lease 0.2 s: fast recovery of lost assignments.
+  const Served served =
+      serve(make_tasks(40), doubler,
+            {.slots = 4,
+             .faults = {.drop_probability = 0.10, .seed = 11},
+             .lease_s = 0.2});
+  ASSERT_EQ(served.results.size(), 40u);
+  EXPECT_GT(served.frames_dropped, 0u);
   // Every task completed exactly once despite retries.
-  EXPECT_EQ(report.manager_stats.completions, 40u);
+  EXPECT_EQ(served.stats.completions, 40u);
 }
 
-TEST(Runtime, SurvivesWorkerDeaths) {
-  RuntimeConfig config;
-  config.worker_count = 6;
-  config.worker_death_probability = 0.2;
-  config.fault_seed = 17;
-  config.lease_duration_s = 0.2;
-  Runtime runtime(config);
-  const RuntimeReport report = runtime.run(make_tasks(50), doubler);
-  ASSERT_EQ(report.results.size(), 50u);
-  EXPECT_GT(report.workers_died, 0u);
+TEST(WorkerSlotsOverLoopback, SurvivesWorkerDeaths) {
+  const Served served = serve(make_tasks(50), doubler,
+                              {.slots = 6,
+                               .lease_s = 0.2,
+                               .death_probability = 0.2,
+                               .death_seed = 17});
+  ASSERT_EQ(served.results.size(), 50u);
+  EXPECT_GT(served.outcome.deaths, 0u);
   // Deaths force re-issues, visible as lease expirations.
-  EXPECT_GT(report.manager_stats.lease_expirations, 0u);
+  EXPECT_GT(served.stats.lease_expirations, 0u);
 }
 
-TEST(Runtime, FaultyRunProducesSameResultsAsCleanRun) {
+TEST(WorkerSlotsOverLoopback, FaultyRunProducesSameResultsAsCleanRun) {
   // Results are deterministic functions of (task_id, payload), so the
   // result *set* must be identical no matter what the network does.
-  RuntimeConfig clean;
-  clean.worker_count = 3;
-  RuntimeConfig faulty;
-  faulty.worker_count = 3;
-  faulty.transport_faults.drop_probability = 0.15;
-  faulty.transport_faults.seed = 23;
-  faulty.worker_death_probability = 0.1;
-  faulty.lease_duration_s = 0.2;
-
   const auto tasks = make_tasks(30);
-  const RuntimeReport a = Runtime(clean).run(tasks, doubler);
-  const RuntimeReport b = Runtime(faulty).run(tasks, doubler);
+  const Served a = serve(tasks, doubler, {.slots = 3});
+  const Served b =
+      serve(tasks, doubler,
+            {.slots = 3,
+             .faults = {.drop_probability = 0.15, .seed = 23},
+             .lease_s = 0.2,
+             .death_probability = 0.1});
   ASSERT_EQ(a.results.size(), b.results.size());
   for (const auto& [id, bytes] : a.results) {
     EXPECT_EQ(b.results.at(id), bytes) << "task " << id;
   }
 }
 
-TEST(Runtime, RunsOverAnInjectedTransport) {
-  LoopbackTransport transport;
-  RuntimeConfig config;
-  config.worker_count = 2;
-  Runtime runtime(config, transport);
-  const RuntimeReport report = runtime.run(make_tasks(12), doubler);
-  EXPECT_EQ(report.results.size(), 12u);
-  EXPECT_EQ(report.frames_sent, transport.frames_sent());
-  EXPECT_TRUE(transport.closed());  // a transport carries one run
-}
-
-TEST(Runtime, SurfacesCheckpointFailureAsException) {
-  // A failing server-side checkpoint must unwind as a catchable
-  // exception, not std::terminate on the still-joinable worker threads.
-  RuntimeConfig config;
-  config.worker_count = 2;
-  config.checkpoint_path = "/nonexistent_phodis_dir/run.ckpt";
-  Runtime runtime(config);
-  EXPECT_THROW(runtime.run(make_tasks(40), doubler), std::runtime_error);
-}
-
-TEST(Runtime, ReportsTransportStatistics) {
-  RuntimeConfig config;
-  config.worker_count = 2;
-  Runtime runtime(config);
-  const RuntimeReport report = runtime.run(make_tasks(8), doubler);
-  EXPECT_GT(report.frames_sent, 16u);  // at least request+assign per task
-  EXPECT_GT(report.bytes_sent, 0u);
-  EXPECT_GE(report.wall_seconds, 0.0);
-}
-
-TEST(Runtime, LargePayloadsRoundTrip) {
+TEST(WorkerSlotsOverLoopback, LargePayloadsRoundTrip) {
   std::vector<TaskRecord> tasks;
   std::vector<std::uint8_t> big(100000);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint8_t>(i * 7);
   }
   tasks.push_back(TaskRecord{0, big});
-  RuntimeConfig config;
-  config.worker_count = 1;
-  Runtime runtime(config);
-  const RuntimeReport report = runtime.run(tasks, doubler);
-  ASSERT_EQ(report.results.at(0).size(), big.size());
-  EXPECT_EQ(report.results.at(0)[999],
+  const Served served = serve(tasks, doubler, {.slots = 1});
+  ASSERT_EQ(served.results.at(0).size(), big.size());
+  EXPECT_EQ(served.results.at(0)[999],
             static_cast<std::uint8_t>(big[999] * 2));
 }
 

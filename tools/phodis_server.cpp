@@ -25,24 +25,18 @@
 // With --trace, spans (per-task on the server, per-shard on its verify
 // rerun) are written as Chrome trace-event JSON for Perfetto.
 //
-// With --checkpoint, progress (tasks, completion bits, result bytes) is
-// persisted atomically as results arrive; a SIGKILLed server restarted
-// with the same flags resumes instead of recomputing. With
-// --merge-incremental, results are folded into one running tally in
-// task-id order (reorder buffer) instead of retained raw, bounding
-// server memory for huge runs; checkpoints then carry the merged tally.
+// With --checkpoint, progress (tasks, completion bits, the merged tally
+// so far) is persisted atomically as results arrive; a SIGKILLed server
+// restarted with the same flags resumes instead of recomputing, and one
+// restarted with a different plan is refused. Set-up, resume and merging
+// are core::PlanServer's; results always fold into one running tally in
+// task-id order, so --merge-incremental is accepted but changes nothing.
 // Exits 0 only when every task completed (and, unless --no-verify, the
 // local cross-check — run on --verify-threads pool threads — matched
 // the distributed tally bitwise).
-#include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <iterator>
-#include <optional>
 
 #include "core/app.hpp"
-#include "core/merger.hpp"
-#include "dist/runtime.hpp"
 #include "dist/scheduler.hpp"
 #include "mc/packet_kernel.hpp"
 #include "mc/presets.hpp"
@@ -50,7 +44,6 @@
 #include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/bytes.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -63,44 +56,12 @@ namespace {
 phodis::core::SimulationSpec make_spec(std::uint64_t photons,
                                        std::uint64_t seed,
                                        phodis::mc::KernelMode mode) {
-  using namespace phodis;
-  core::SimulationSpec spec;
-  mc::LayeredMediumBuilder builder;
-  builder.add_semi_infinite_layer(
-      "grey matter",
-      mc::OpticalProperties::from_reduced(0.036, 2.2, 0.9, 1.4));
-  spec.kernel.medium = builder.build();
+  phodis::core::SimulationSpec spec;
+  spec.kernel.medium = phodis::mc::homogeneous_grey_matter();
   spec.kernel.mode = mode;
   spec.photons = photons;
   spec.seed = seed;
   return spec;
-}
-
-/// A checkpoint is only resumable into the task plan that produced it;
-/// a sidecar `<checkpoint>.meta` records the plan parameters so a
-/// restart with different flags is refused instead of silently merging
-/// a stale run's results.
-std::string plan_fingerprint(std::uint64_t photons, std::uint64_t chunk,
-                             std::uint64_t seed, phodis::mc::KernelMode mode) {
-  return "photons=" + std::to_string(photons) +
-         " chunk=" + std::to_string(chunk) +
-         " seed=" + std::to_string(seed) +
-         " mode=" + phodis::mc::to_string(mode) + "\n";
-}
-
-void write_plan_meta(const std::string& path, const std::string& fingerprint) {
-  std::ofstream out(path, std::ios::trunc);
-  out << fingerprint;
-  if (!out) {
-    throw std::runtime_error("phodis_server: cannot write " + path);
-  }
-}
-
-std::string read_plan_meta(const std::string& path) {
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  return content;
 }
 
 }  // namespace
@@ -116,7 +77,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
   const double lease_s = args.get_double("lease", 2.0);
   const std::string checkpoint_path = args.get("checkpoint", "");
-  const bool merge_incremental = args.get_flag("merge-incremental");
   const auto verify_threads =
       static_cast<std::size_t>(args.get_int("verify-threads", 1));
   dist::FaultSpec faults;
@@ -132,73 +92,22 @@ int main(int argc, char** argv) {
         mc::parse_kernel_mode(args.get("kernel-mode", "scalar"));
     const core::MonteCarloApp app(make_spec(photons, seed, mode));
     if (chunk == 0) chunk = dist::suggest_chunk_size(photons, 4);
-    const std::vector<dist::TaskRecord> tasks = app.build_tasks(chunk, 1);
-
-    dist::DataManager manager(lease_s);
-    std::optional<core::IncrementalTallyMerger> merger;
-    if (merge_incremental) {
-      merger.emplace(app.spec());
-      manager.set_result_sink(
-          [&merger](std::uint64_t task_id, std::vector<std::uint8_t> bytes) {
-            merger->fold(task_id, std::move(bytes));
-          });
-    }
-    const std::string meta_path = checkpoint_path + ".meta";
-    const std::string fingerprint =
-        plan_fingerprint(photons, chunk, seed, mode);
-    if (!checkpoint_path.empty() &&
-        std::filesystem::exists(checkpoint_path)) {
-      if (read_plan_meta(meta_path) != fingerprint) {
-        util::log_error() << "phodis_server: " << checkpoint_path
-                          << " was written for a different task plan (see "
-                          << meta_path << "); refusing to resume";
-        return 1;
-      }
-      const std::vector<std::uint8_t> sink_state =
-          manager.restore_from_file(checkpoint_path);
-      if (merger) {
-        if (sink_state.empty() && manager.completed_count() > 0) {
-          util::log_error() << "phodis_server: " << checkpoint_path
-                            << " retains raw results (written without "
-                               "--merge-incremental); refusing to resume "
-                               "incrementally";
-          return 1;
-        }
-        merger->restore(sink_state);
-      } else if (!sink_state.empty()) {
-        util::log_error() << "phodis_server: " << checkpoint_path
-                          << " carries a merged tally; rerun with "
-                             "--merge-incremental to resume it";
-        return 1;
-      }
-      std::cout << "phodis_server: resumed " << manager.completed_count()
-                << " completed / "
-                << manager.completed_count() + manager.pending_count()
-                << " tasks from " << checkpoint_path << "\n";
-    } else {
-      if (!checkpoint_path.empty()) {
-        write_plan_meta(meta_path, fingerprint);
-      }
-      for (const dist::TaskRecord& task : tasks) {
-        manager.add_task(task.task_id, task.payload);
-      }
+    core::PlanServer plan(app, chunk, lease_s, checkpoint_path);
+    if (plan.resumed()) {
+      std::cout << "phodis_server: resumed " << plan.completed_count()
+                << " completed / " << plan.task_count() << " tasks from "
+                << checkpoint_path << "\n";
     }
 
     net::Server transport(net::Address::parse(listen_spec), faults);
     std::cout << "phodis_server: listening on "
               << transport.local_address().to_string() << " ("
-              << tasks.size() << " tasks of <= " << chunk
+              << plan.task_count() << " tasks of <= " << chunk
               << " photons, lease " << lease_s << " s)" << std::endl;
 
     util::Stopwatch clock;
     dist::ServerLoopOptions loop_options;
-    loop_options.checkpoint_path = checkpoint_path;
     loop_options.checkpoint_every = 4;
-    if (merger) {
-      loop_options.checkpoint_state = [&merger] {
-        return merger->state_bytes();
-      };
-    }
     // Workers ship their registries (MetricsSnapshot frames) when they see
     // Shutdown; merge them here and give the frames a bounded drain window.
     obs::Snapshot worker_snapshots;
@@ -233,30 +142,13 @@ int main(int argc, char** argv) {
       }
     };
 
-    dist::run_server_loop(transport, manager, loop_options);
+    const core::PlanResult result = plan.run(transport, loop_options);
     const double serve_seconds = clock.seconds();
-
-    if (manager.completed_count() != tasks.size()) {
-      util::log_error() << "phodis_server: completed "
-                        << manager.completed_count() << " of "
-                        << tasks.size() << " tasks";
-      dump_observability();
-      return 1;
-    }
-    mc::SimulationTally tally = [&] {
-      if (!merger) return app.merge_results(manager.results());
-      if (merger->frontier() != tasks.size()) {
-        throw std::runtime_error(
-            "phodis_server: incremental merge frontier " +
-            std::to_string(merger->frontier()) + " != " +
-            std::to_string(tasks.size()) + " tasks");
-      }
-      return merger->merged();
-    }();
-    const auto stats = manager.stats();
+    const mc::SimulationTally& tally = result.tally;
+    const dist::DataManagerStats& stats = result.manager_stats;
 
     util::TextTable table({"metric", "value"});
-    table.add_row({"tasks", std::to_string(tasks.size())});
+    table.add_row({"tasks", std::to_string(plan.task_count())});
     table.add_row({"completions", std::to_string(stats.completions)});
     table.add_row({"re-issued leases",
                    std::to_string(stats.lease_expirations)});
