@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "mc/fresnel.hpp"
 #include "mc/packet_kernel.hpp"
+#include "mc/physics.hpp"
 #include "mc/scatter.hpp"
 #include "util/fastmath.hpp"
 
@@ -17,13 +16,6 @@
 #endif
 
 namespace phodis::mc {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kDirEps = 1e-12;  // |dir.z| below this counts as horizontal
-
-}  // namespace
 
 BoundaryModel parse_boundary_model(const std::string& name) {
   std::string lower;
@@ -103,24 +95,16 @@ SimulationTally Kernel::make_tally() const {
 
 void Kernel::run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
                  SimulationTally& tally) const {
-  if (config_.mode == KernelMode::kPacket) {
-    run_packet(*this, photon_count, rng, tally);
-    return;
-  }
-  const SimFn fn = select_sim_fn(tally, /*trace=*/false);
-  PathRecorder recorder;
-  for (std::uint64_t i = 0; i < photon_count; ++i) {
-    (this->*fn)(rng, tally, recorder, nullptr, 0);
-  }
+  CompiledRun(this, select_sim_fn(tally))(photon_count, rng, tally);
 }
 
 PhotonTrace Kernel::trace(util::Xoshiro256pp& rng,
                           std::size_t max_vertices) const {
   SimulationTally scratch = make_tally();
-  const SimFn fn = select_sim_fn(scratch, /*trace=*/true);
   PathRecorder recorder;
   PhotonTrace result;
-  (this->*fn)(rng, scratch, recorder, &result, max_vertices);
+  (this->*select_sim_fn(scratch))(rng, scratch, recorder, &result,
+                                  max_vertices);
   return result;
 }
 
@@ -141,11 +125,12 @@ void Kernel::CompiledRun::operator()(std::uint64_t photon_count,
 }
 
 Kernel::CompiledRun Kernel::compiled_run() const noexcept {
-  return CompiledRun(this, select_sim_fn_from_config(/*trace=*/false));
+  return CompiledRun(this, select_sim_fn_from_config());
 }
 
 // ---------------------------------------------------------------------------
-// The specialized photon loop.
+// The scalar photon loop: its schedule (hop, absorbed weight, scattering)
+// around the shared operators of mc/physics.hpp.
 //
 // BITWISE-IDENTITY CONTRACT: every specialization must draw the same rng
 // sequence and evaluate the same FP expressions, in the same order, as the
@@ -157,11 +142,24 @@ Kernel::CompiledRun Kernel::compiled_run() const noexcept {
 //    inverse rounds differently);
 //  * the boundary-distance filter and the one-compare TIR test only
 //    short-circuit work whose outcome is proven, never approximate it;
-//  * feature blocks compile away entirely (if constexpr), and the features
-//    they guard are the only consumers of the values they skip.
+//  * the per-interaction deposit blocks compile away (if constexpr) when
+//    their grid is absent; the rare paths (exterior crossings, exits,
+//    trace capture) test runtime values instead, and the optical
+//    pathlength and scatter count are always accumulated — only a
+//    detection or a trace reads them.
 // ---------------------------------------------------------------------------
 
-template <BoundaryModel BM, bool F, bool R, bool P, bool D, bool T>
+namespace {
+
+[[gnu::noinline]] void record_vertex(PhotonTrace& trace,
+                                     std::size_t max_vertices,
+                                     const util::Vec3& p) {
+  if (trace.vertices.size() < max_vertices) trace.vertices.push_back(p);
+}
+
+}  // namespace
+
+template <bool F, bool R, bool P>
 void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
                                SimulationTally& tally, PathRecorder& recorder,
                                PhotonTrace* trace_out,
@@ -172,62 +170,59 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
   if constexpr (P) recorder.clear();
 
   VoxelGrid3D* fluence = nullptr;
-  RadialTally* radial = nullptr;
   VoxelGrid3D* path_grid = nullptr;
   if constexpr (F) fluence = tally.fluence_grid();
-  if constexpr (R) radial = tally.radial();
   if constexpr (P) path_grid = tally.path_grid();
+  RadialTally* const radial = tally.radial();
+  const DetectorSpec* const detector =
+      config_.detector ? &*config_.detector : nullptr;
   // Register-resident scoring handle for the per-interaction radial
-  // deposits (the rare exit-surface scores below go through the tally).
+  // deposits (the rare exit-surface scores go through the tally).
   std::optional<RadialTally::Scorer> radial_scorer;
   if constexpr (R) radial_scorer.emplace(*radial);
 
   const auto note_vertex = [&](const util::Vec3& p) {
-    if constexpr (T) {
-      if (trace_out && trace_out->vertices.size() < max_vertices) {
-        trace_out->vertices.push_back(p);
-      }
-    } else {
-      (void)p;
+    if (trace_out != nullptr) [[unlikely]] {
+      record_vertex(*trace_out, max_vertices, p);
     }
   };
-  const auto note_final_state = [&](const PhotonPacket& packet) {
-    if constexpr (T) {
-      if (trace_out) {
-        trace_out->fate = packet.fate;
-        trace_out->final_weight = packet.weight;
-        trace_out->optical_pathlength = packet.optical_pathlength;
-      }
-    } else {
-      (void)packet;
+  const auto note_final_state = [&] {
+    if (trace_out) {
+      trace_out->fate = photon.fate;
+      trace_out->final_weight = photon.weight;
+      trace_out->optical_pathlength = photon.optical_pathlength;
     }
+  };
+  // Tally `weight` leaving through the surface the photon is heading for;
+  // returns true when the detector takes it. Out of line, like the trace
+  // capture, and the exterior branch is [[unlikely]]: inline, these rare
+  // paths took registers from the per-event path (about 5% slower on the
+  // bench_kernel presets, 4-core AVX-512 host).
+  const auto score_exit = [&](bool downward, double weight) [[gnu::noinline]] {
+    const double radius = util::fast_radius(photon.pos.x, photon.pos.y);
+    if (downward) {
+      score_exit_bottom(tally, radial, radius, weight);
+      return false;
+    }
+    const bool detected =
+        score_exit_top(tally, radial, detector, photon.pos, radius,
+                       photon.optical_pathlength, photon.scatter_events,
+                       weight);
+    if constexpr (P) {
+      if (detected) recorder.commit(*path_grid);
+    }
+    return detected;
   };
   note_vertex(photon.pos);
 
-  // Specular loss and refraction at the air/tissue interface before the
-  // first step ("initialise photon" in Fig. 1). For a collimated source
-  // this is the normal-incidence ((n1-n2)/(n1+n2))^2; diverging sources
-  // hit at an angle, so the full Fresnel expression applies and the
-  // transmitted direction bends per Snell.
-  const FresnelResult entry =
-      fresnel(medium.n_above(), medium.n(0), photon.dir.z);
-  tally.add_specular(photon.weight * entry.reflectance);
-  photon.weight *= 1.0 - entry.reflectance;
-  if (entry.total_internal || photon.weight <= 0.0) {
-    photon.fate = PhotonFate::kReflectedSpecular;
-    tally.record_max_depth(0.0, 1.0);
-    note_final_state(photon);
+  if (!enter_tissue(photon, medium, tally)) {
+    note_final_state();
 #if defined(PHODIS_OBS_KERNEL)
     obs::KernelCounters::global().photons_launched.fetch_add(
         1, std::memory_order_relaxed);
 #endif
     return;
   }
-  const double entry_scale = medium.entry_scale();
-  photon.dir.x *= entry_scale;
-  photon.dir.y *= entry_scale;
-  photon.dir.z = entry.cos_transmit;
-  photon.dir = photon.dir.normalized();
 
   double s_left = 0.0;  // dimensionless step remaining across boundaries
   std::uint64_t interactions = 0;
@@ -236,6 +231,7 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
   // current layer's optics row (reloaded only on a layer change).
   const std::uint64_t max_inter = config_.max_interactions;
   const double roulette_threshold = config_.roulette.threshold;
+  const bool classical = config_.boundary_model == BoundaryModel::kClassical;
   std::size_t layer = photon.layer;
   double lz0 = medium.z0(layer), lz1 = medium.z1(layer);
   double ln = medium.n(layer), lmut = medium.mut(layer);
@@ -283,86 +279,54 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
     if (!interact) {
       // --- interface crossing ----------------------------------------------
       photon.pos += photon.dir * d_boundary;
-      if constexpr (T) photon.pathlength += d_boundary;
-      if constexpr (D || T) photon.optical_pathlength += d_boundary * ln;
+      photon.optical_pathlength += d_boundary * ln;
       photon.max_depth = std::max(photon.max_depth, photon.pos.z);
       note_vertex(photon.pos);
       s_left -= d_boundary * mut;
       if (s_left < 0.0) s_left = 0.0;
 
       const int d = downward ? 1 : 0;
-      const double cos_i = std::abs(photon.dir.z);
-      bool left_tissue = false;
-      if (cos_i >= kFresnelGrazeEps && cos_i <= medium.tir_cos(layer, d)) {
-        // One-compare TIR: provably beyond the critical angle, reflect
-        // without evaluating Fresnel (the exact path below reaches the
-        // same reflection through fresnel()'s total_internal branch, at
-        // the cost of a sqrt; neither consumes randomness).
+      const FresnelResult fr =
+          interface_fresnel(medium, layer, d, ln, std::abs(photon.dir.z));
+      if (fr.total_internal) {  // "if (photon angle > critical angle)"
         photon.dir.z = -photon.dir.z;
-      } else {
-        const FresnelResult fr =
-            fresnel(ln, medium.neighbour_n(layer, d), cos_i);
-        if (medium.exterior(layer, d)) {
-          if (fr.total_internal) {  // "if (photon angle > critical angle)"
-            photon.dir.z = -photon.dir.z;
-          } else if constexpr (BM == BoundaryModel::kClassical) {
-            // Deterministic partial transmission: (1-R)·W escapes now, R·W
-            // keeps propagating inside.
-            const double transmitted = photon.weight * (1.0 - fr.reflectance);
-            bool detected = false;
-            if (transmitted > 0.0) {
-              if (!downward) {
-                detected = finish_exit_top_impl<R, P, D>(
-                    photon, transmitted, tally, recorder, radial, path_grid);
-              } else {
-                finish_exit_bottom_impl<R>(photon, transmitted, tally,
-                                           radial);
-              }
-              photon.weight -= transmitted;
-            }
-            photon.dir.z = -photon.dir.z;
-            if (photon.weight <= 0.0) {
-              photon.fate = detected    ? PhotonFate::kDetected
-                            : !downward ? PhotonFate::kReflectedDiffuse
-                                        : PhotonFate::kTransmitted;
-              left_tissue = true;
-            }
-            // Otherwise the packet survives a detection event with its
-            // reflected fraction and may be detected again later; each
-            // partial escape has already been tallied.
-          } else {
-            // Probabilistic: the whole packet either escapes or reflects.
-            if (rng.uniform() < fr.reflectance) {
-              photon.dir.z = -photon.dir.z;
-            } else if (!downward) {
-              // "... and end": the whole packet leaves, detected or not.
-              const bool detected = finish_exit_top_impl<R, P, D>(
-                  photon, photon.weight, tally, recorder, radial, path_grid);
-              photon.fate = detected ? PhotonFate::kDetected
-                                     : PhotonFate::kReflectedDiffuse;
-              left_tissue = true;
-            } else {
-              finish_exit_bottom_impl<R>(photon, photon.weight, tally,
-                                         radial);
-              photon.fate = PhotonFate::kTransmitted;
-              left_tissue = true;
-            }
+      } else if (medium.exterior(layer, d)) [[unlikely]] {
+        bool leaves = false;
+        bool detected = false;
+        if (classical) {
+          // Deterministic partial transmission: (1-R)·W escapes now, R·W
+          // keeps propagating inside. A packet that keeps weight survives
+          // a detection event and may be detected again later; each
+          // partial escape has already been tallied.
+          const double transmitted = photon.weight * (1.0 - fr.reflectance);
+          if (transmitted > 0.0) {
+            detected = score_exit(downward, transmitted);
+            photon.weight -= transmitted;
           }
-          // phodis-lint: allow(D7) draw is intentionally skipped at total internal reflection — both MCML and our golden hashes pin this exact draw sequence; hoisting it would consume one extra uniform per TIR event and change every tally downstream
-        } else if (fr.total_internal || rng.uniform() < fr.reflectance) {
-          // Interior interface between two tissue layers. Reflection is
-          // sampled probabilistically in both boundary models (a
-          // single-packet tracker cannot fork into two continuing packets).
+          photon.dir.z = -photon.dir.z;
+          leaves = photon.weight <= 0.0;
+        } else if (rng.uniform() < fr.reflectance) {
+          // Probabilistic: the whole packet either reflects ...
           photon.dir.z = -photon.dir.z;
         } else {
-          // Refract: Snell's law preserves the tangential direction scaled
-          // by n_i/n_t; the packet crosses into the adjacent layer.
-          const double scale = medium.n_ratio(layer, d);
-          photon.dir.x *= scale;
-          photon.dir.y *= scale;
-          photon.dir.z = downward ? fr.cos_transmit : -fr.cos_transmit;
-          photon.dir = photon.dir.normalized();
-          layer = downward ? layer + 1 : layer - 1;
+          // ... or leaves ("save path and end"), detected or not.
+          detected = score_exit(downward, photon.weight);
+          leaves = true;
+        }
+        if (leaves) {
+          photon.fate = detected   ? PhotonFate::kDetected
+                        : downward ? PhotonFate::kTransmitted
+                                   : PhotonFate::kReflectedDiffuse;
+          break;
+        }
+      } else {
+        // Interior interface between two tissue layers. Reflection is
+        // sampled probabilistically in both boundary models (a
+        // single-packet tracker cannot fork into two continuing packets).
+        if (rng.uniform() < fr.reflectance) {
+          photon.dir.z = -photon.dir.z;
+        } else {
+          layer = refract(photon.dir, medium, layer, d, fr.cos_transmit);
           photon.layer = layer;
           lz0 = medium.z0(layer);
           lz1 = medium.z1(layer);
@@ -372,12 +336,10 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
           lg = medium.g(layer);
         }
       }
-      if (left_tissue) break;
     } else {
       // --- interaction site -------------------------------------------------
       photon.pos += photon.dir * s_phys;
-      if constexpr (T) photon.pathlength += s_phys;
-      if constexpr (D || T) photon.optical_pathlength += s_phys * ln;
+      photon.optical_pathlength += s_phys * ln;
       photon.max_depth = std::max(photon.max_depth, photon.pos.z);
       note_vertex(photon.pos);
       s_left = 0.0;
@@ -402,28 +364,26 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
       }
 
       photon.dir = deflect(photon.dir, sample_hg_cosine(lg, rng), rng);
-      if constexpr (D) ++photon.scatter_events;
+      ++photon.scatter_events;
     }
 
     // "if (weight too small) survive roulette" — applies after either
     // branch: classical boundary splitting also erodes the weight. (Any
     // photon reaching this point is alive: every terminal outcome above
     // breaks out of the loop first.)
-    if (photon.weight < roulette_threshold) {
-      const double before = photon.weight;
-      const double after = play_roulette(before, config_.roulette, rng);
+    if (photon.weight < roulette_threshold) [[unlikely]] {
+      const double after = survive_roulette(photon.weight, config_.roulette,
+                                            rng.uniform(), tally);
       if (after == 0.0) {
-        tally.add_roulette_loss(before);
         photon.fate = PhotonFate::kAbsorbed;
         break;
       }
-      tally.add_roulette_gain(after - before);
       photon.weight = after;
     }
   }
 
   tally.record_max_depth(photon.max_depth, 1.0);
-  note_final_state(photon);
+  note_final_state();
 #if defined(PHODIS_OBS_KERNEL)
   // Out-of-band flush: a few relaxed adds per *photon*, accumulated in the
   // locals above. Nothing here reads the RNG or writes the tally, so the
@@ -445,98 +405,33 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
   }
 }
 
-template <bool R, bool P, bool D>
-bool Kernel::finish_exit_top_impl(PhotonPacket& photon, double weight,
-                                  SimulationTally& tally,
-                                  PathRecorder& recorder, RadialTally* radial,
-                                  VoxelGrid3D* path_grid) const {
-  tally.add_diffuse_reflectance(weight);
-  if constexpr (R) {
-    radial->score_reflectance(util::fast_radius(photon.pos.x, photon.pos.y),
-                              weight);
-  }
-  if constexpr (D) {
-    // "if (photon passed through detector) save path ..."
-    if (config_.detector->accepts(photon.pos, photon.optical_pathlength)) {
-      const double radius = util::fast_radius(photon.pos.x, photon.pos.y);
-      tally.record_detection(weight, photon.optical_pathlength, radius,
-                             photon.scatter_events);
-      if constexpr (P) recorder.commit(*path_grid);
-      return true;
-    }
-  } else {
-    (void)recorder;
-    (void)path_grid;
-  }
-  return false;
-}
-
-template <bool R>
-void Kernel::finish_exit_bottom_impl(PhotonPacket& photon, double weight,
-                                     SimulationTally& tally,
-                                     RadialTally* radial) const {
-  tally.add_transmittance(weight);
-  if constexpr (R) {
-    radial->score_transmittance(
-        util::fast_radius(photon.pos.x, photon.pos.y), weight);
-  } else {
-    (void)photon;
-    (void)radial;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Dispatch table: index bits are (BM << 5) | F << 4 | R << 3 | P << 2 |
-// D << 1 | T. All 64 specializations are instantiated here, in this TU.
+// Dispatch table: all 8 specializations, instantiated here in this TU. The
+// index bits are F << 2 | R << 1 | P, laid out in sim_fn_at alone so the
+// tally-derived and config-derived selectors cannot drift.
 // ---------------------------------------------------------------------------
 
-template <std::size_t I>
-Kernel::SimFn Kernel::sim_table_entry() noexcept {
-  constexpr BoundaryModel bm = (I & 32) != 0 ? BoundaryModel::kClassical
-                                             : BoundaryModel::kProbabilistic;
-  return &Kernel::simulate_one_impl<bm, (I & 16) != 0, (I & 8) != 0,
-                                    (I & 4) != 0, (I & 2) != 0, (I & 1) != 0>;
+Kernel::SimFn Kernel::sim_fn_at(bool fluence, bool radial,
+                                bool path) noexcept {
+  static constexpr std::array<SimFn, 8> table =
+      []<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array<SimFn, 8>{
+            &Kernel::simulate_one_impl<(I & 4) != 0, (I & 2) != 0,
+                                       (I & 1) != 0>...};
+      }(std::make_index_sequence<8>{});
+  return table[(fluence ? 4u : 0u) | (radial ? 2u : 0u) | (path ? 1u : 0u)];
 }
 
-Kernel::SimFn Kernel::sim_fn_at(std::size_t index) noexcept {
-  static const std::array<SimFn, 64> table =
-      []<std::size_t... Is>(std::index_sequence<Is...>) {
-        return std::array<SimFn, 64>{sim_table_entry<Is>()...};
-      }(std::make_index_sequence<64>{});
-  return table[index];
+Kernel::SimFn Kernel::select_sim_fn(const SimulationTally& tally)
+    const noexcept {
+  return sim_fn_at(tally.fluence_grid() != nullptr, tally.radial() != nullptr,
+                   tally.path_grid() != nullptr);
 }
 
-namespace {
-
-/// The single source of the index-bit layout: both selectors go through
-/// here, so the tally-derived and config-derived paths cannot drift.
-std::size_t sim_index(BoundaryModel model, bool fluence, bool radial,
-                      bool path, bool detector, bool trace) noexcept {
-  std::size_t index = 0;
-  if (model == BoundaryModel::kClassical) index |= 32;
-  if (fluence) index |= 16;
-  if (radial) index |= 8;
-  if (path) index |= 4;
-  if (detector) index |= 2;
-  if (trace) index |= 1;
-  return index;
-}
-
-}  // namespace
-
-Kernel::SimFn Kernel::select_sim_fn(const SimulationTally& tally,
-                                    bool trace) const noexcept {
-  return sim_fn_at(sim_index(
-      config_.boundary_model, tally.fluence_grid() != nullptr,
-      tally.radial() != nullptr, tally.path_grid() != nullptr,
-      config_.detector.has_value(), trace));
-}
-
-Kernel::SimFn Kernel::select_sim_fn_from_config(bool trace) const noexcept {
-  return sim_fn_at(sim_index(
-      config_.boundary_model, config_.tally.enable_fluence_grid,
-      config_.tally.enable_radial, config_.tally.enable_path_grid,
-      config_.detector.has_value(), trace));
+Kernel::SimFn Kernel::select_sim_fn_from_config() const noexcept {
+  return sim_fn_at(config_.tally.enable_fluence_grid,
+                   config_.tally.enable_radial,
+                   config_.tally.enable_path_grid);
 }
 
 }  // namespace phodis::mc

@@ -17,16 +17,21 @@
 // Henyey–Greenstein scattering, Fresnel boundaries, Russian roulette.
 //
 // Execution model (the compiled hot path): at construction the medium is
-// lowered into CompiledMedium SoA tables, and the photon loop exists as a
-// family of template specializations — one per combination of boundary
-// model and enabled tally features (fluence grid, radial tally, path grid,
-// detector, trace capture). run() resolves the right specialization once
-// per call from a dispatch table, so the common no-grids configuration
-// executes a loop with no tally-feature tests, no string-bearing Layer
-// loads, and no bounds checks — while producing bitwise-identical tallies
-// to the original single-loop kernel (enforced by tests/test_kernel_golden;
-// sole intentional exception: radial scoring radii moved from std::hypot
-// to util::fast_radius, a last-ulp change re-recorded in that test).
+// lowered into CompiledMedium SoA tables, and the photon loop exists as 8
+// template specializations — one per combination of the tally features
+// that guard per-interaction deposits (fluence grid, radial tally, path
+// grid). The boundary model, the detector and trace capture are runtime
+// values, read only on rare paths (exterior crossings, exits, trace
+// vertices). run() resolves the specialization once per call from a
+// dispatch table, so the common no-grids configuration executes a loop
+// with no tally-feature tests, no string-bearing Layer loads, and no
+// bounds checks — while producing bitwise-identical tallies to the
+// original single-loop kernel (enforced by tests/test_kernel_golden; sole
+// intentional exception: radial scoring radii moved from std::hypot to
+// util::fast_radius, a last-ulp change re-recorded in that test). The
+// per-event physics — entry, Fresnel crossing, refraction, exit scoring
+// and roulette — is the set of operators in mc/physics.hpp, shared with
+// the packet loop.
 #pragma once
 
 #include <array>
@@ -40,7 +45,7 @@
 #include "mc/grid.hpp"
 #include "mc/layer.hpp"
 #include "mc/photon.hpp"
-#include "mc/roulette.hpp"
+#include "mc/physics.hpp"
 #include "mc/source.hpp"
 #include "mc/tally.hpp"
 #include "util/rng.hpp"
@@ -170,33 +175,21 @@ class Kernel {
   CompiledRun compiled_run() const noexcept;
 
  private:
-  /// The photon loop, specialized at compile time on the boundary model
-  /// and on which tally features exist. Template parameters: F fluence
-  /// grid, R radial tally, P path grid, D detector, T trace capture.
-  /// Every specialization reproduces the reference loop bit for bit —
-  /// same rng draw order, same FP expression order (see the golden test).
-  template <BoundaryModel BM, bool F, bool R, bool P, bool D, bool T>
+  /// The scalar photon loop, specialized at compile time on which
+  /// per-interaction deposits exist: F fluence grid, R radial tally, P
+  /// path grid. A non-null `trace_out` captures the trajectory without
+  /// changing any draw. Every specialization reproduces the reference
+  /// loop bit for bit — same rng draw order, same FP expression order
+  /// (see the golden test).
+  template <bool F, bool R, bool P>
   void simulate_one_impl(util::Xoshiro256pp& rng, SimulationTally& tally,
                          PathRecorder& recorder, PhotonTrace* trace_out,
                          std::size_t max_vertices) const;
 
-  /// Tally an escape through the top surface; returns true when the exit
-  /// point and pathlength gate put the weight on the detector.
-  template <bool R, bool P, bool D>
-  bool finish_exit_top_impl(PhotonPacket& photon, double weight,
-                            SimulationTally& tally, PathRecorder& recorder,
-                            RadialTally* radial, VoxelGrid3D* path_grid) const;
-  template <bool R>
-  void finish_exit_bottom_impl(PhotonPacket& photon, double weight,
-                               SimulationTally& tally,
-                               RadialTally* radial) const;
-
   /// Dispatch-table plumbing (table built in kernel.cpp).
-  template <std::size_t I>
-  static SimFn sim_table_entry() noexcept;
-  static SimFn sim_fn_at(std::size_t index) noexcept;
-  SimFn select_sim_fn(const SimulationTally& tally, bool trace) const noexcept;
-  SimFn select_sim_fn_from_config(bool trace) const noexcept;
+  static SimFn sim_fn_at(bool fluence, bool radial, bool path) noexcept;
+  SimFn select_sim_fn(const SimulationTally& tally) const noexcept;
+  SimFn select_sim_fn_from_config() const noexcept;
 
   KernelConfig config_;
   Source source_;

@@ -6,10 +6,6 @@
 
 namespace phodis::mc {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
-
 std::size_t LayeredMedium::layer_at(double z) const noexcept {
   // Linear scan: head models have ~5 layers, so this beats binary search
   // and keeps the common case branch-predictable.
@@ -88,7 +84,7 @@ LayeredMediumBuilder& LayeredMediumBuilder::add_semi_infinite_layer(
   layer.name = std::move(name);
   layer.props = props;
   layer.z0 = cursor_z_;
-  layer.z1 = kInf;
+  layer.z1 = std::numeric_limits<double>::infinity();
   medium_.layers_.push_back(std::move(layer));
   closed_ = true;
   return *this;

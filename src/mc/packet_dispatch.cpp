@@ -3,9 +3,9 @@
 // the packet loop, and the scalar-vs-packet statistical equivalence check.
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "mc/packet_kernel.hpp"
+#include "mc/physics.hpp"
 #include "mc/vmath.hpp"
 #include "obs/metrics.hpp"
 
@@ -68,8 +68,6 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 /// Conservative variance of a mean of per-photon contributions bounded in
 /// [0, 1] with sample mean p (Bhatia–Davis: var <= p(1-p)).
 double bounded_mean_var(double p, std::uint64_t n) noexcept {
@@ -119,12 +117,23 @@ StatEquivalence statistical_equivalence(const SimulationTally& reference,
   add_fraction("lost_fraction", reference.lost_fraction(),
                candidate.lost_fraction());
 
+  // Detected photons per launch: a binomial proportion, so p(1-p)/N is
+  // its variance. The weight fractions cannot see photons detected with
+  // (near) zero weight; this check can.
+  const std::uint64_t da = reference.photons_detected();
+  const std::uint64_t db = candidate.photons_detected();
+  const auto per_launch = [](std::uint64_t count, std::uint64_t launched) {
+    return launched == 0 ? 0.0
+                         : static_cast<double>(count) /
+                               static_cast<double>(launched);
+  };
+  add_fraction("detected_count_fraction", per_launch(da, na),
+               per_launch(db, nb));
+
   // Mean detected pathlength: detected-pathlength distributions are
   // broad, roughly exponential-tailed, so std <= mean is a serviceable
   // conservative scale; skip when either run detected too few photons for
   // a mean to be meaningful.
-  const std::uint64_t da = reference.photons_detected();
-  const std::uint64_t db = candidate.photons_detected();
   if (da >= 30 && db >= 30) {
     const double ma = reference.mean_detected_pathlength();
     const double mb = candidate.mean_detected_pathlength();

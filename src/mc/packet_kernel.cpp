@@ -16,6 +16,11 @@
 //      via u_evt), absorption deposits, roulette,
 //      death + refill from the photon stream           [scalar]
 //
+// Steps 1–3 and the deposit arithmetic are this loop's own schedule; the
+// per-lane physics of step 4 (entry at refill, the interface crossing,
+// exit and detector scoring, roulette) is the operator set of
+// mc/physics.hpp, shared with the scalar loop.
+//
 // Every lane consumes the same three draws per iteration from its own
 // sub-stream whether its event is an interaction (uses all three) or a
 // boundary crossing (u_evt becomes the reflect-vs-transmit draw, u_phi is
@@ -34,10 +39,9 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 
-#include "mc/fresnel.hpp"
 #include "mc/photon.hpp"
+#include "mc/physics.hpp"
 #include "mc/radial.hpp"
 #include "mc/vmath.hpp"
 #include "util/vec3.hpp"
@@ -56,8 +60,6 @@ namespace phodis::mc::PHODIS_PACKET_ISA {
 namespace {
 
 constexpr std::size_t W = kPacketWidth;
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kDirEps = 1e-12;  // |dir.z| below this counts as horizontal
 
 #if defined(PHODIS_OBS_KERNEL)
 static_assert(obs::KernelCounters::kOccupancySlots == W + 1,
@@ -235,8 +237,8 @@ inline void park_lane(PacketState& p, std::size_t i,
 /// sampling runs through a temporary Xoshiro256pp seeded from the lane's
 /// sub-stream state (and written back after), so refill consumes the
 /// exact same generator the lane's batched draws use. Photons killed at
-/// the surface (specular TIR / zero transmitted weight) are tallied and
-/// the next stream photon is tried — mirroring the scalar entry path.
+/// the surface (specular TIR / zero transmitted weight) are tallied by
+/// enter_tissue and the next stream photon is tried.
 /// Returns false when the stream is exhausted (caller parks the lane).
 inline bool refill_lane(PacketState& p, std::size_t i, const Source& source,
                         const CompiledMedium& medium, const double* afrac,
@@ -255,25 +257,13 @@ inline bool refill_lane(PacketState& p, std::size_t i, const Source& source,
     p.r3[i] = st[3];
     tally.count_launch();
     ++launched;
-
-    const FresnelResult entry =
-        fresnel(medium.n_above(), medium.n(0), ph.dir.z);
-    tally.add_specular(ph.weight * entry.reflectance);
-    ph.weight *= 1.0 - entry.reflectance;
-    if (entry.total_internal || ph.weight <= 0.0) {
-      tally.record_max_depth(0.0, 1.0);
-      continue;
-    }
-    const double es = medium.entry_scale();
-    const util::Vec3 dir =
-        util::Vec3{ph.dir.x * es, ph.dir.y * es, entry.cos_transmit}
-            .normalized();
+    if (!enter_tissue(ph, medium, tally)) continue;
     p.x[i] = ph.pos.x;
     p.y[i] = ph.pos.y;
     p.z[i] = ph.pos.z;
-    p.ux[i] = dir.x;
-    p.uy[i] = dir.y;
-    p.uz[i] = dir.z;
+    p.ux[i] = ph.dir.x;
+    p.uy[i] = ph.dir.y;
+    p.uz[i] = ph.dir.z;
     p.w[i] = ph.weight;
     p.s_left[i] = 0.0;
     p.opl[i] = 0.0;
@@ -318,7 +308,6 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
 
   const std::uint64_t max_inter = config.max_interactions;
   const double roulette_threshold = config.roulette.threshold;
-  const double surv_mult = config.roulette.survival_multiplier;
 
   // Lane sub-streams: lane k = caller stream + k long_jump()s (2^192
   // apart). The caller is left advanced by exactly W long_jumps, so a
@@ -351,15 +340,15 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
     }
   }
 
-  // Exit/interaction radii are only read when something radial-ish is
-  // scoring; skip the batched sqrt entirely otherwise.
+  // Exit/interaction radii are only computed when something radial-ish
+  // is scoring; otherwise radius[] stays 0 and is never read.
   const bool need_radius = radial != nullptr || detector != nullptr;
 
   double u_step[W], u_evt[W], u_phi[W];
   double step_log[W];
   double sphi[W], cphi[W];
   double hg_ct[W], hg_st[W];
-  double radius[W];
+  double radius[W] = {};
   double dw[W];
   std::uint64_t alive_evt[W];
   std::uint64_t interact[W];
@@ -482,47 +471,30 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
         tally.add_lost(p.w[i]);
         dead = true;
       } else if (p.cross[i]) {
+        // u_evt is this event's reflect-vs-transmit draw.
         const std::size_t layer = p.layer[i];
         const bool down = p.uz[i] > 0.0;
         const int d = down ? 1 : 0;
-        const double cos_i = std::abs(p.uz[i]);
-        if (cos_i >= kFresnelGrazeEps && cos_i <= medium.tir_cos(layer, d)) {
-          p.uz[i] = -p.uz[i];  // one-compare TIR, as in the scalar loop
-        } else {
-          const FresnelResult fr =
-              fresnel(p.ln[i], medium.neighbour_n(layer, d), cos_i);
-          if (fr.total_internal || u_evt[i] < fr.reflectance) {
-            p.uz[i] = -p.uz[i];
-          } else if (medium.exterior(layer, d)) {
-            const double wgt = p.w[i];
-            if (!down) {
-              tally.add_diffuse_reflectance(wgt);
-              if (radial) radial->score_reflectance(radius[i], wgt);
-              if (detector) {
-                const util::Vec3 exit{p.x[i], p.y[i], p.z[i]};
-                if (detector->accepts(exit, p.opl[i])) {
-                  tally.record_detection(wgt, p.opl[i], radius[i],
-                                         p.scat[i]);
-                }
-              }
-            } else {
-              tally.add_transmittance(wgt);
-              if (radial) radial->score_transmittance(radius[i], wgt);
-            }
-            dead = true;
+        const FresnelResult fr =
+            interface_fresnel(medium, layer, d, p.ln[i], std::abs(p.uz[i]));
+        if (fr.total_internal || u_evt[i] < fr.reflectance) {
+          p.uz[i] = -p.uz[i];
+        } else if (medium.exterior(layer, d)) {
+          if (down) {
+            score_exit_bottom(tally, radial, radius[i], p.w[i]);
           } else {
-            // Refract into the adjacent layer (Snell preserves the scaled
-            // tangential direction).
-            const double scale = medium.n_ratio(layer, d);
-            const util::Vec3 dir =
-                util::Vec3{p.ux[i] * scale, p.uy[i] * scale,
-                           down ? fr.cos_transmit : -fr.cos_transmit}
-                    .normalized();
-            p.ux[i] = dir.x;
-            p.uy[i] = dir.y;
-            p.uz[i] = dir.z;
-            load_layer(p, i, medium, afrac, down ? layer + 1 : layer - 1);
+            score_exit_top(tally, radial, detector, {p.x[i], p.y[i], p.z[i]},
+                           radius[i], p.opl[i], p.scat[i], p.w[i]);
           }
+          dead = true;
+        } else {
+          util::Vec3 dir{p.ux[i], p.uy[i], p.uz[i]};
+          const std::size_t next =
+              refract(dir, medium, layer, d, fr.cos_transmit);
+          p.ux[i] = dir.x;
+          p.uy[i] = dir.y;
+          p.uz[i] = dir.z;
+          load_layer(p, i, medium, afrac, next);
         }
       } else {
         // Interaction: scatter the precomputed deposit dw = W·µa/µt into
@@ -534,16 +506,9 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
       }
 
       if (!dead && p.w[i] < roulette_threshold) {
-        const double before = p.w[i];
-        if (lane_uniform(p, i) * surv_mult < 1.0) {
-          const double after = before * surv_mult;
-          tally.add_roulette_gain(after - before);
-          p.w[i] = after;
-        } else {
-          tally.add_roulette_loss(before);
-          dead = true;
-          by_roulette = true;
-        }
+        p.w[i] = survive_roulette(p.w[i], config.roulette,
+                                  lane_uniform(p, i), tally);
+        by_roulette = dead = p.w[i] == 0.0;
       }
 
       if (dead) {

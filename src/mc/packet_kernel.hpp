@@ -2,11 +2,15 @@
 // marched together in structure-of-arrays lanes, with the per-event
 // transcendentals (log for step sampling, sincos for the azimuth)
 // evaluated lane-parallel through mc/vmath.hpp. See packet_kernel.cpp for
-// the loop schedule and the determinism argument; the contract in brief:
+// the loop schedule and the determinism argument. Its per-lane physics
+// (entry, interface crossing, exits and detector, roulette) is the
+// operator set of mc/physics.hpp, shared with the scalar loop; the
+// contract in brief:
 //
 //  * NOT bitwise-equal to the scalar loop (different libm, different draw
-//    schedule). It has its own golden hashes and is tied to the scalar
-//    reference by the statistical-equivalence test below.
+//    schedule, different step and deposit arithmetic). It has its own
+//    golden hashes and is tied to the scalar reference by the
+//    statistical-equivalence test below.
 //  * Deterministic in itself: the tally produced for a given (config,
 //    photon_count, rng state) is identical across thread counts, build
 //    types, sanitizers, and instruction sets — each lane draws from its
@@ -129,13 +133,14 @@ struct StatEquivalence {
 
 /// Test that `candidate` agrees with `reference` within `k_sigma` combined
 /// standard errors on the global energy balance (specular / diffuse
-/// reflectance, transmittance, absorbed and detected weight fractions) and
-/// on the mean detected pathlength. Standard errors use the conservative
-/// Bhatia–Davis bound p(1-p)/N for the weight fractions (per-photon
-/// contributions lie in [0, 1] up to rare roulette survivors) and the
-/// std<=mean exponential-tail bound for the pathlength mean, so a pass
-/// criterion of k_sigma = 6 is loose against noise yet tight against any
-/// systematic physics divergence.
+/// reflectance, transmittance, absorbed and detected weight fractions), on
+/// the detected photon count per launch, and on the mean detected
+/// pathlength. Standard errors use the conservative Bhatia–Davis bound
+/// p(1-p)/N for the weight fractions (per-photon contributions lie in
+/// [0, 1] up to rare roulette survivors), the binomial p(1-p)/N for the
+/// count, and the std<=mean exponential-tail bound for the pathlength
+/// mean, so a pass criterion of k_sigma = 6 is loose against noise yet
+/// tight against any systematic physics divergence.
 StatEquivalence statistical_equivalence(const SimulationTally& reference,
                                         const SimulationTally& candidate,
                                         double k_sigma = kDefaultStatSigma);

@@ -26,7 +26,6 @@ struct PhotonPacket {
   util::Vec3 dir{0.0, 0.0, 1.0}; ///< unit direction cosines
   double weight = 1.0;           ///< packet weight in [0, 1]
   std::size_t layer = 0;         ///< index of the current layer
-  double pathlength = 0.0;       ///< geometric path travelled [mm]
   double optical_pathlength = 0.0;  ///< sum of n * ds [mm], for time gating
   std::uint32_t scatter_events = 0;
   double max_depth = 0.0;        ///< deepest z reached [mm]

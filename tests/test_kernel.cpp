@@ -368,6 +368,41 @@ TEST(Kernel, TraceRespectsVertexCap) {
   EXPECT_LE(trace.vertices.size(), 5u);
 }
 
+TEST(Kernel, TraceFollowsTheSamePhotonAsRun) {
+  // Trace capture is a runtime switch of the same loop, so tracing a
+  // photon must change no draw: trace() and run(1) from equal seeds end
+  // on equal RNG states and agree on whether the photon was detected.
+  // The classical model runs index-matched so every exit is whole (with a
+  // mismatch, a partial escape can be detected and the photon live on).
+  for (const BoundaryModel model :
+       {BoundaryModel::kProbabilistic, BoundaryModel::kClassical}) {
+    KernelConfig config =
+        semi_infinite_config(model == BoundaryModel::kClassical ? 1.0 : 1.4);
+    config.boundary_model = model;
+    DetectorSpec detector;
+    detector.separation_mm = 0.0;
+    detector.radius_mm = 5.0;
+    config.detector = detector;
+    const Kernel kernel(config);
+    int detected = 0;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+      util::Xoshiro256pp rng_trace(seed);
+      util::Xoshiro256pp rng_run(seed);
+      const PhotonTrace trace = kernel.trace(rng_trace);
+      SimulationTally tally = kernel.make_tally();
+      kernel.run(1, rng_run, tally);
+      ASSERT_EQ(rng_trace.state(), rng_run.state())
+          << to_string(model) << " seed " << seed;
+      ASSERT_EQ(trace.fate == PhotonFate::kDetected,
+                tally.photons_detected() == 1)
+          << to_string(model) << " seed " << seed;
+      detected += tally.photons_detected() == 1 ? 1 : 0;
+    }
+    // The detector sits over the source: a real share of photons hits it.
+    EXPECT_GT(detected, 30) << to_string(model);
+  }
+}
+
 // ---------- determinism ------------------------------------------------------
 
 TEST(Kernel, RunsAreSeedDeterministic) {

@@ -16,6 +16,7 @@
 //    (and the checker itself detects genuinely different physics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -497,6 +498,44 @@ TEST(PacketStat, DivergingGaussianSourceMatchesScalar) {
   config.source.radius_mm = 1.0;
   config.source.half_angle_deg = 15.0;
   expect_equivalent(config, 10'000, 10'000);
+}
+
+TEST(PacketStat, PureAbsorberOverScatterDetectsNoZeroWeightPhotons) {
+  // A µs = 0 layer deposits everything at its first interaction (µa/µt =
+  // 1), leaving weight exactly 0. Roulette must kill such a photon: one
+  // that survived at weight 0 would go on to be counted as a detection
+  // while adding no detected weight, which only the detected-count check
+  // can see.
+  mc::OpticalProperties absorber;
+  absorber.mua = 5.0;
+  absorber.mus = 0.0;
+  absorber.n = 1.0;
+  mc::OpticalProperties scatterer;
+  scatterer.mua = 0.01;
+  scatterer.mus = 10.0;
+  scatterer.g = 0.9;
+  scatterer.n = 1.0;
+  mc::KernelConfig config;
+  config.medium = mc::LayeredMediumBuilder()
+                      .add_layer("absorber", absorber, 0.2)
+                      .add_semi_infinite_layer("scatterer", scatterer)
+                      .build();
+  mc::DetectorSpec detector;
+  detector.separation_mm = 0.0;
+  detector.radius_mm = 50.0;
+  config.detector = detector;
+
+  mc::KernelConfig packet_config = config;
+  packet_config.mode = mc::KernelMode::kPacket;
+  const mc::StatEquivalence eq = mc::statistical_equivalence(
+      run_tally(config, 40'000, 42), run_tally(packet_config, 40'000, 43));
+  EXPECT_TRUE(eq.pass) << eq.summary();
+  const auto count_check = std::find_if(
+      eq.checks.begin(), eq.checks.end(), [](const mc::StatCheck& c) {
+        return c.name == "detected_count_fraction";
+      });
+  ASSERT_NE(count_check, eq.checks.end()) << eq.summary();
+  EXPECT_GT(count_check->reference, 0.0);
 }
 
 TEST(PacketStat, CheckerFlagsGenuinelyDifferentPhysics) {

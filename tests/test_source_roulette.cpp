@@ -3,8 +3,9 @@
 
 #include <cmath>
 
-#include "mc/roulette.hpp"
+#include "mc/physics.hpp"
 #include "mc/source.hpp"
+#include "mc/tally.hpp"
 #include "util/rng.hpp"
 
 namespace phodis::mc {
@@ -134,15 +135,23 @@ TEST(Roulette, SpecValidation) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
+/// survive_roulette with this test's own draw and a scratch tally for its
+/// gain/loss ledger.
+double play(double weight, const RouletteSpec& spec, util::Xoshiro256pp& rng,
+            SimulationTally& ledger) {
+  return survive_roulette(weight, spec, rng.uniform(), ledger);
+}
+
 TEST(Roulette, PreservesExpectedWeight) {
   // E[post-roulette weight] must equal the input weight (unbiasedness).
   RouletteSpec spec;
   spec.survival_multiplier = 10.0;
   util::Xoshiro256pp rng(6);
+  SimulationTally ledger{TallyConfig{}};
   const double w = 5e-5;
   const int n = 2000000;
   double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += play_roulette(w, spec, rng);
+  for (int i = 0; i < n; ++i) sum += play(w, spec, rng, ledger);
   EXPECT_NEAR(sum / n / w, 1.0, 2e-2);
 }
 
@@ -150,9 +159,10 @@ TEST(Roulette, SurvivorsCarryMultipliedWeight) {
   RouletteSpec spec;
   spec.survival_multiplier = 10.0;
   util::Xoshiro256pp rng(7);
+  SimulationTally ledger{TallyConfig{}};
   const double w = 1e-5;
   for (int i = 0; i < 1000; ++i) {
-    const double out = play_roulette(w, spec, rng);
+    const double out = play(w, spec, rng, ledger);
     ASSERT_TRUE(out == 0.0 || std::abs(out - w * 10.0) < 1e-18);
   }
 }
@@ -161,12 +171,48 @@ TEST(Roulette, SurvivalRateIsOneOverMultiplier) {
   RouletteSpec spec;
   spec.survival_multiplier = 5.0;
   util::Xoshiro256pp rng(8);
+  SimulationTally ledger{TallyConfig{}};
   const int n = 500000;
   int survived = 0;
   for (int i = 0; i < n; ++i) {
-    if (play_roulette(1e-5, spec, rng) > 0.0) ++survived;
+    if (play(1e-5, spec, rng, ledger) > 0.0) ++survived;
   }
   EXPECT_NEAR(static_cast<double>(survived) / n, 0.2, 3e-3);
+}
+
+TEST(Roulette, LedgerBooksEveryGainAndLoss) {
+  // Each survivor books (m-1)·w as gain and each death books w as loss,
+  // so the ledger holds exactly the weight roulette created or destroyed:
+  // zero net error in weight_conservation_error().
+  RouletteSpec spec;
+  util::Xoshiro256pp rng(10);
+  SimulationTally ledger{TallyConfig{}};
+  const double w = 2e-5;
+  const int n = 10000;
+  int survived = 0;
+  for (int i = 0; i < n; ++i) {
+    if (play(w, spec, rng, ledger) > 0.0) ++survived;
+  }
+  ASSERT_GT(survived, 0);
+  ASSERT_LT(survived, n);
+  // Weight after roulette = survivors · m · w; the ledger's net must move
+  // the n·w that went in to exactly that.
+  const double before = n * w;
+  const double after = survived * spec.survival_multiplier * w;
+  const double net = ledger.weight_conservation_error();
+  // No photons were launched and no sinks filled: the conservation error
+  // is |gain - loss| = |after - before|.
+  EXPECT_NEAR(net, std::abs(after - before), 1e-12);
+}
+
+TEST(Roulette, ZeroWeightAlwaysDies) {
+  // A photon that has deposited everything must not survive to be scored
+  // again, whatever the draw: survival at weight 0 is death.
+  RouletteSpec spec;
+  SimulationTally ledger{TallyConfig{}};
+  EXPECT_EQ(survive_roulette(0.0, spec, 0.0, ledger), 0.0);
+  EXPECT_EQ(survive_roulette(1e-5, spec, 0.0, ledger), 1e-5 * 10.0);
+  EXPECT_EQ(survive_roulette(1e-5, spec, 0.5, ledger), 0.0);
 }
 
 class RouletteMultiplierSweep : public ::testing::TestWithParam<double> {};
@@ -175,10 +221,11 @@ TEST_P(RouletteMultiplierSweep, UnbiasedAcrossMultipliers) {
   RouletteSpec spec;
   spec.survival_multiplier = GetParam();
   util::Xoshiro256pp rng(9);
+  SimulationTally ledger{TallyConfig{}};
   const double w = 1e-5;
   const int n = 1000000;
   double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += play_roulette(w, spec, rng);
+  for (int i = 0; i < n; ++i) sum += play(w, spec, rng, ledger);
   EXPECT_NEAR(sum / n / w, 1.0, 3e-2);
 }
 
