@@ -323,7 +323,8 @@ std::uint64_t slot_seed(std::uint64_t seed, std::size_t slot,
 WorkerLoopOutcome run_worker_slots(std::size_t slots,
                                    const SlotTransportFactory& make_transport,
                                    const TaskExecutor& executor,
-                                   const WorkerLoopOptions& options) {
+                                   const WorkerLoopOptions& options,
+                                   bool send_metrics_snapshot) {
   if (slots == 0) {
     throw std::invalid_argument("run_worker_slots: need >= 1 slot");
   }
@@ -354,7 +355,7 @@ WorkerLoopOutcome run_worker_slots(std::size_t slots,
       // still finishing a re-leased duplicate must not hold the snapshot
       // past the server's drain window.
       if (outcomes[slot].saw_shutdown && !finished.exchange(true) &&
-          options.send_metrics_snapshot) {
+          send_metrics_snapshot) {
         // The whole process registry plus compile-gated kernel counters;
         // the server folds it into the cluster-wide report.
         obs::Snapshot snapshot = obs::registry().snapshot();

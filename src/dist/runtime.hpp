@@ -89,13 +89,6 @@ struct WorkerLoopOptions {
   /// Extra liveness check polled each iteration (in-process pools use it
   /// to stop workers whose Shutdown frame was lost); empty = always on.
   std::function<bool()> keep_running;
-  /// Read by run_worker_slots only (run_worker_loop ignores it): on
-  /// Shutdown, encode the process-global obs registry (plus kernel
-  /// counters) and send it to the server as one MetricsSnapshot for the
-  /// whole process. Off by default: in-process pools share one registry
-  /// with the server, so only separate worker processes (phodis_worker)
-  /// should ship theirs.
-  bool send_metrics_snapshot = false;
 
   void validate() const;
 };
@@ -135,17 +128,21 @@ using SlotTransportFactory = std::function<std::unique_ptr<Transport>(
 ///
 /// Once any slot sees Shutdown the run is over: the others stop at
 /// their next loop check instead of spending their reconnect budget.
-/// Slots share the process registry, so the process ships one
-/// MetricsSnapshot, not one per slot: when options.send_metrics_snapshot
-/// is set, the first slot to see Shutdown sends it on its own transport
-/// right away (a slot still busy with a duplicate lease would otherwise
-/// hold it past the server's drain window). Returns, after every slot
-/// has stopped, the slots' summed task and death counts, saw_shutdown if
-/// any slot saw Shutdown, and slot 0's final name. An exception from any
-/// slot stops the others and is rethrown after they have joined.
+/// With send_metrics_snapshot, the process encodes its obs registry
+/// (plus kernel counters) and ships it to the server as one
+/// MetricsSnapshot; slots share the registry, so it is one per process,
+/// not one per slot. The first slot to see Shutdown sends it on its own
+/// transport right away (a slot still busy with a duplicate lease would
+/// otherwise hold it past the server's drain window). Only separate
+/// worker processes (phodis_worker) should set it: in-process slots
+/// share the server's registry. Returns, after every slot has stopped,
+/// the slots' summed task and death counts, saw_shutdown if any slot saw
+/// Shutdown, and slot 0's final name. An exception from any slot stops
+/// the others and is rethrown after they have joined.
 WorkerLoopOutcome run_worker_slots(std::size_t slots,
                                    const SlotTransportFactory& make_transport,
                                    const TaskExecutor& executor,
-                                   const WorkerLoopOptions& options);
+                                   const WorkerLoopOptions& options,
+                                   bool send_metrics_snapshot = false);
 
 }  // namespace phodis::dist

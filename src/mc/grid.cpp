@@ -11,7 +11,12 @@ void GridSpec::validate() const {
   if (nx == 0 || ny == 0 || nz == 0) {
     throw std::invalid_argument("GridSpec: need >= 1 voxel per axis");
   }
-  if (voxel_count() > (std::size_t{1} << 31)) {
+  // Bound each partial product before forming it: nx*ny*nz wraps for
+  // axes near 2^32 (2^32 * 2^32 * 1 is 0), which would pass a check on
+  // the product and size an empty grid.
+  constexpr std::size_t kMaxVoxels = std::size_t{1} << 31;
+  if (nx > kMaxVoxels || ny > kMaxVoxels / nx ||
+      nz > kMaxVoxels / (nx * ny)) {
     throw std::invalid_argument("GridSpec: grid too large");
   }
 }
@@ -62,9 +67,16 @@ GridSpec GridSpec::cube(std::size_t n, double half_width_mm, double depth_mm) {
   return spec;
 }
 
+namespace {
+/// Validate before any member allocates from the spec's sizes.
+const GridSpec& validated(const GridSpec& spec) {
+  spec.validate();
+  return spec;
+}
+}  // namespace
+
 VoxelGrid3D::VoxelGrid3D(const GridSpec& spec)
-    : spec_(spec), data_(spec.voxel_count(), 0.0) {
-  spec_.validate();
+    : spec_(validated(spec)), data_(spec_.voxel_count(), 0.0) {
   inv_dx_ = static_cast<double>(spec_.nx) / (spec_.x_max - spec_.x_min);
   inv_dy_ = static_cast<double>(spec_.ny) / (spec_.y_max - spec_.y_min);
   inv_dz_ = static_cast<double>(spec_.nz) / (spec_.z_max - spec_.z_min);

@@ -28,7 +28,10 @@ struct GridSpec {
   double z_min = 0.0, z_max = 50.0;    ///< [mm]
   std::size_t nx = 50, ny = 50, nz = 50;
 
+  /// Throws std::invalid_argument unless every extent is positive and
+  /// the grid holds 1..2^31 voxels (checked without overflow).
   void validate() const;
+  /// nx*ny*nz; exact only for a spec that passes validate().
   std::size_t voxel_count() const noexcept { return nx * ny * nz; }
   double voxel_volume_mm3() const noexcept;
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace phodis::mc {
 
@@ -203,6 +204,35 @@ std::vector<std::uint8_t> SimulationTally::to_bytes() const {
 
 SimulationTally SimulationTally::deserialize(util::ByteReader& reader) {
   const TallyConfig config = TallyConfig::deserialize(reader);
+  // The constructor allocates every array from the peer's config. Each
+  // array's doubles still follow in the frame, so no count may exceed
+  // what is left of it; checked first, a short frame cannot ask for a
+  // huge allocation.
+  const std::size_t cap = reader.remaining() / sizeof(double);
+  const auto require_fits = [cap](std::size_t count, const char* what) {
+    if (count > cap) {
+      throw std::out_of_range(std::string("SimulationTally: ") + what +
+                              " exceeds the payload");
+    }
+  };
+  require_fits(config.layer_count, "layer_count");
+  require_fits(config.pathlength_bins, "pathlength_bins");
+  require_fits(config.depth_bins, "depth_bins");
+  if (config.enable_fluence_grid) {
+    require_fits(config.fluence_spec.voxel_count(), "fluence grid");
+  }
+  if (config.enable_path_grid) {
+    require_fits(config.path_spec.voxel_count(), "path grid");
+  }
+  if (config.enable_radial) {
+    const RadialSpec& radial = config.radial_spec;
+    require_fits(radial.nr, "radial nr");
+    // nr >= 1 (validated); divide so that nr*nz cannot wrap.
+    if (radial.nz > cap / radial.nr) {
+      throw std::out_of_range("SimulationTally: radial nr*nz exceeds the "
+                              "payload");
+    }
+  }
 
   SimulationTally tally(config);
   tally.photons_launched_ = reader.u64();

@@ -7,14 +7,11 @@
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
+#include "util/stopwatch.hpp"
 
 namespace phodis::net {
 
 namespace {
-/// Accept poll period: bounds how long shutdown() waits on the accept
-/// thread.
-constexpr std::int64_t kAcceptPollMs = 50;
-
 /// Server-side wire counters, resolved once (function-local statics are
 /// thread-safe); labels keep server and client totals apart in a merged
 /// cluster report.
@@ -46,6 +43,14 @@ WireCounters& wire_counters() {
   };
   return counters;
 }
+
+/// How long shutdown() takes to stop the accept and reader threads: the
+/// tail every server exit pays after its last result.
+obs::Histogram& shutdown_seconds() {
+  static obs::Histogram& histogram = obs::registry().histogram(
+      "net_server_shutdown_seconds", obs::Histogram::latency_bounds_s());
+  return histogram;
+}
 }  // namespace
 
 Server::Server(const Address& address, const dist::FaultSpec& faults,
@@ -64,7 +69,8 @@ void Server::accept_loop() {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stop_) return;
     }
-    auto socket = listener_.accept(kAcceptPollMs);
+    // No period: shutdown() wakes this wait through listener_.wake().
+    auto socket = listener_.accept(-1);
     if (!socket) continue;
     wire_counters().connections.inc();
     auto connection = std::make_shared<Connection>();
@@ -165,6 +171,7 @@ std::optional<dist::Message> Server::receive(const std::string& endpoint,
 }
 
 void Server::shutdown() {
+  const util::Stopwatch clock;
   std::vector<std::shared_ptr<Connection>> connections;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -176,11 +183,13 @@ void Server::shutdown() {
   for (const auto& connection : connections) {
     connection->socket.shutdown_both();  // wakes its reader with EOF
   }
+  listener_.wake();  // wakes the accept thread; it then sees stop_
   if (accept_thread_.joinable()) accept_thread_.join();
   for (const auto& connection : connections) {
     if (connection->reader.joinable()) connection->reader.join();
   }
-  listener_.close();
+  listener_.close();  // only now: accept_loop no longer reads the fd
+  shutdown_seconds().observe(clock.seconds());
 }
 
 bool Server::closed() const {

@@ -205,12 +205,16 @@ std::optional<Socket> Listener::accept(std::int64_t timeout_ms) {
   if (fd_ < 0) return std::nullopt;
   pollfd pfd{fd_, POLLIN, 0};
   const int rc =
-      ::poll(&pfd, 1, static_cast<int>(timeout_ms));
+      ::poll(&pfd, 1, timeout_ms < 0 ? -1 : static_cast<int>(timeout_ms));
   if (rc <= 0) return std::nullopt;  // timeout or poll interrupted
   const int conn = ::accept(fd_, nullptr, nullptr);
-  if (conn < 0) return std::nullopt;  // racer took it, or listener closed
+  if (conn < 0) return std::nullopt;  // racer took it, or woken/closed
   if (address_.kind == Address::Kind::kTcp) set_nodelay(conn);
   return Socket(conn);
+}
+
+void Listener::wake() noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Listener::close() noexcept {

@@ -74,9 +74,20 @@ class Listener {
   /// The bound address, with the ephemeral TCP port resolved.
   const Address& local_address() const noexcept { return address_; }
 
-  /// Wait up to `timeout_ms` for a connection. nullopt on timeout or
-  /// once the listener is closed.
+  /// Wait up to `timeout_ms` for a connection; a negative timeout waits
+  /// with no period, until a connection arrives or wake() is called.
+  /// nullopt on timeout, once wake() has been called, or once the
+  /// listener is closed.
   std::optional<Socket> accept(std::int64_t timeout_ms);
+
+  /// Wake a thread blocked in accept() and make every later accept()
+  /// return nullopt at once: shuts the listening socket down (poll sees
+  /// POLLHUP for TCP and Unix-domain sockets alike, accept fails with
+  /// EINVAL). The state stays on the socket, so a wake that lands before
+  /// the acceptor reaches poll is not lost. Safe to call from another
+  /// thread; close() is not, so close only after the acceptor has
+  /// stopped.
+  void wake() noexcept;
 
   bool valid() const noexcept { return fd_ >= 0; }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "mc/grid.hpp"
 #include "mc/tally.hpp"
@@ -55,6 +57,27 @@ TEST(GridSpec, SerializeRoundTrip) {
   spec.serialize(w);
   util::ByteReader r(w.bytes());
   EXPECT_EQ(GridSpec::deserialize(r), spec);
+}
+
+TEST(GridSpec, RejectsAWrappingVoxelCount) {
+  // 2^32 * 2^32 * 1 wraps to 0 in 64 bits; it must not pass as a small
+  // grid, neither locally nor from a peer's bytes.
+  GridSpec spec = small_grid();
+  spec.nx = spec.ny = std::size_t{1} << 32;
+  spec.nz = 1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  EXPECT_THROW(VoxelGrid3D{spec}, std::invalid_argument);
+  util::ByteWriter w;
+  spec.serialize(w);
+  util::ByteReader r(w.bytes());
+  EXPECT_THROW(GridSpec::deserialize(r), std::invalid_argument);
+
+  // The 2^31-voxel cap itself is exact (validated only, never allocated).
+  spec.nx = std::size_t{1} << 16;
+  spec.ny = std::size_t{1} << 15;
+  EXPECT_NO_THROW(spec.validate());
+  spec.nz = 2;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
 // ---------- VoxelGrid3D ------------------------------------------------------
@@ -321,6 +344,35 @@ TEST(Tally, DeserializeRejectsCorruptPayload) {
   bytes.resize(bytes.size() / 2);  // truncate
   util::ByteReader r(bytes);
   EXPECT_THROW(SimulationTally::deserialize(r), std::out_of_range);
+}
+
+/// A short frame whose tally config claims `patch(config)`'s sizes:
+/// the config's bytes plus one spare double, ~230 bytes in all.
+std::vector<std::uint8_t> hostile_frame(
+    const std::function<void(TallyConfig&)>& patch) {
+  TallyConfig config = tally_config();
+  patch(config);
+  util::ByteWriter w;
+  config.serialize(w);
+  w.f64(0.0);
+  return w.take();
+}
+
+TEST(Tally, DeserializeBoundsPeerSizesByThePayload) {
+  // Each claimed size needs that many doubles still in the frame; the
+  // decoder must refuse before allocating (not throw bad_alloc after).
+  const auto expect_rejected = [](const std::vector<std::uint8_t>& bytes) {
+    util::ByteReader r(bytes);
+    EXPECT_THROW((void)SimulationTally::deserialize(r), std::out_of_range);
+  };
+  const std::size_t huge = std::size_t{1} << 40;
+  const std::vector<std::uint8_t> layers =
+      hostile_frame([&](TallyConfig& c) { c.layer_count = huge; });
+  EXPECT_LT(layers.size(), 256u);
+  expect_rejected(layers);
+  expect_rejected(
+      hostile_frame([&](TallyConfig& c) { c.pathlength_bins = huge; }));
+  expect_rejected(hostile_frame([&](TallyConfig& c) { c.depth_bins = huge; }));
 }
 
 TEST(Tally, GridsAbsentWhenDisabled) {

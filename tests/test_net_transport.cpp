@@ -27,6 +27,7 @@
 #include "obs/metrics.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace phodis::net {
 namespace {
@@ -317,6 +318,40 @@ TEST(SocketTransport, TornFrameCountsPeersButNotTheServersOwnShutdown) {
   EXPECT_EQ(server_torn_frames(), before + 1);
 }
 
+/// shutdown() wakes the accept thread instead of waiting out a poll
+/// period, so it takes a few milliseconds however long the server has
+/// idled: 8 trials idle 3..17 ms, one more shuts down at once. Each call
+/// records one observation of net_server_shutdown_seconds; the
+/// destructor's second call records none.
+void expect_prompt_shutdowns(const std::function<Address()>& make_address) {
+  constexpr double kBoundMs = 10.0;
+  obs::Histogram& recorded = obs::registry().histogram(
+      "net_server_shutdown_seconds", obs::Histogram::latency_bounds_s());
+  const auto timed_shutdown = [&](int idle_ms) {
+    const std::uint64_t before = recorded.observations();
+    {
+      Server server(make_address());
+      std::this_thread::sleep_for(std::chrono::milliseconds(idle_ms));
+      const util::Stopwatch clock;
+      server.shutdown();
+      EXPECT_LT(clock.milliseconds(), kBoundMs)
+          << "shutdown after idling " << idle_ms << " ms";
+    }
+    EXPECT_EQ(recorded.observations(), before + 1);
+  };
+  for (int trial = 0; trial < 8; ++trial) timed_shutdown(3 + 2 * trial);
+  timed_shutdown(0);
+}
+
+TEST(ServerShutdown, UdsWakesTheAcceptThread) {
+  expect_prompt_shutdowns(
+      [] { return Address::unix_path(unique_socket_path("wake")); });
+}
+
+TEST(ServerShutdown, TcpWakesTheAcceptThread) {
+  expect_prompt_shutdowns([] { return Address::tcp("127.0.0.1", 0); });
+}
+
 /// A plan on phodis_server's medium (semi-infinite grey matter), seed 11.
 core::SimulationSpec grey_matter_spec(std::uint64_t photons) {
   core::SimulationSpec spec;
@@ -463,9 +498,9 @@ TEST(WorkerSlots, ThreeSlotsMatchSerialBitwiseAndShipOneSnapshot) {
   std::thread worker_thread([&] {
     dist::WorkerLoopOptions options;
     options.name = "slot";
-    options.send_metrics_snapshot = true;
     outcome = dist::run_worker_slots(3, clients_to(server, names),
-                                     core::Algorithm::execute, options);
+                                     core::Algorithm::execute, options,
+                                     /*send_metrics_snapshot=*/true);
   });
   std::vector<std::string> snapshot_senders;
   dist::ServerLoopOptions server_options;

@@ -27,7 +27,10 @@
 # fault-free and must show zero drops; phase 3 must show at most one
 # worker metrics snapshot per process (never one per slot) and, summed
 # over those snapshots, at least one executed task per task in the plan
-# (unless a lease expired and a busy process missed the drain).
+# (unless a lease expired and a busy process missed the drain). Every
+# phase's report must also carry exactly one net_server_shutdown_seconds
+# observation: the server's exit tail, recorded before the report is
+# written.
 #
 # Usage: cluster_smoke.sh PATH_TO_phodis_server PATH_TO_phodis_worker
 #        [ARTIFACT_DIR]
@@ -72,6 +75,26 @@ counter_value() {
   local v
   v=$(sed -n "s/.*\"name\": \"$2\", \"labels\": {$3}, \"kind\": \"counter\", \"value\": \([0-9][0-9]*\).*/\1/p" "$1" | head -1)
   echo "${v:-0}"
+}
+
+# histogram_observations FILE NAME — print the observation count of an
+# unlabeled histogram in a metrics report. Prints 0 if absent.
+histogram_observations() {
+  local v
+  v=$(sed -n "s/.*\"name\": \"$2\", \"labels\": {}, \"kind\": \"histogram\", .*\"observations\": \([0-9][0-9]*\).*/\1/p" "$1" | head -1)
+  echo "${v:-0}"
+}
+
+# expect_one_shutdown PHASE FILE — the server's one net::Server shutdown
+# (the exit tail after the last result) must be in its report exactly
+# once. Only the count is checked: its duration varies too much under
+# sanitizers to bound here (the latency bound lives in
+# test_net_transport).
+expect_one_shutdown() {
+  local n
+  n=$(histogram_observations "$2" net_server_shutdown_seconds)
+  [ "$n" -eq 1 ] ||
+    fail "$1: expected 1 net_server_shutdown_seconds observation, got $n"
 }
 
 save_artifacts() {
@@ -121,6 +144,7 @@ DROPPED=$(counter_value "$METRICS1" net_frames_dropped_total '"side": "server"')
 EXPIRED=$(counter_value "$METRICS1" dist_server_lease_expirations_total '')
 [ "$EXPIRED" -ge 1 ] ||
   fail "phase 1: victim was SIGKILLed holding a lease but dist_server_lease_expirations_total = $EXPIRED"
+expect_one_shutdown "phase 1" "$METRICS1"
 echo "phase 1 metrics: frames dropped = $DROPPED, leases expired = $EXPIRED"
 
 echo "== Phase 2: incremental-merge server SIGKILLed, resumed from checkpoint =="
@@ -175,6 +199,7 @@ kill "$W2" >/dev/null 2>&1
 DROPPED2=$(counter_value "$METRICS2" net_frames_dropped_total '"side": "server"')
 [ "$DROPPED2" -eq 0 ] ||
   fail "phase 2: no --drop configured but net_frames_dropped_total{side=server} = $DROPPED2"
+expect_one_shutdown "phase 2" "$METRICS2"
 echo "phase 2 metrics: frames dropped = $DROPPED2 (fault-free, as configured)"
 
 echo "== Phase 3: packet-mode cluster, statistical check vs scalar reference =="
@@ -228,6 +253,7 @@ else
   [ "$EXPIRED3" -ge 1 ] ||
     fail "phase 3: no lease expired, yet only $SNAPSHOTS of 2 worker snapshots arrived"
 fi
+expect_one_shutdown "phase 3" "$METRICS3"
 echo "phase 3 metrics: worker snapshots = $SNAPSHOTS, tasks executed = $EXECUTED, leases expired = $EXPIRED3"
 
 save_artifacts

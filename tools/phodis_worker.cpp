@@ -97,7 +97,6 @@ int main(int argc, char** argv) {
     options.death_probability = args.get_double("death", 0.0);
     options.death_seed =
         static_cast<std::uint64_t>(args.get_int("death-seed", 2006));
-    options.send_metrics_snapshot = true;
     dist::TaskExecutor executor = &core::Algorithm::execute;
     if (const std::string mode_arg = args.get("kernel-mode", "auto");
         mode_arg != "auto") {
@@ -112,7 +111,8 @@ int main(int argc, char** argv) {
       };
     }
     const dist::WorkerLoopOutcome outcome =
-        dist::run_worker_slots(slots, make_client, executor, options);
+        dist::run_worker_slots(slots, make_client, executor, options,
+                               /*send_metrics_snapshot=*/true);
     std::cout << "phodis_worker " << outcome.final_name << ": executed "
               << outcome.tasks_executed << " tasks on " << slots
               << (slots == 1 ? " slot" : " slots") << ", died "
