@@ -35,8 +35,8 @@
 //                                     which photon loop(s) to measure
 //                                     (default scalar; "both" emits one
 //                                     JSON entry per preset per mode)
-//   --metrics-json PATH               dump the obs registry (plus any
-//                                     compile-gated kernel counters)
+//   --metrics-json PATH               dump the obs registry, kernel
+//                                     counters included
 //   --trace PATH                      Chrome trace-event spans (Perfetto)
 //
 // Numbers are comparable only within one machine; see bench_report.hpp
@@ -54,7 +54,6 @@
 #include "mc/kernel.hpp"
 #include "mc/packet_kernel.hpp"
 #include "mc/presets.hpp"
-#include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
@@ -171,11 +170,15 @@ int main(int argc, char** argv) {
       for (const auto& preset : presets) {
         bench::PhotonRun run = preset.kernel.compiled_run();
         if (isa) {
+          // The same work as CompiledRun, on this build: run, then
+          // one registry flush.
           run = [&kernel = preset.kernel,
                  build = mc::packet_isa_build(*isa).run](
                     std::uint64_t photons, util::Xoshiro256pp& rng,
                     mc::SimulationTally& tally) {
-            build(kernel, photons, rng, tally);
+            mc::KernelStats stats;
+            build(kernel, photons, rng, tally, stats);
+            stats.flush();
           };
         }
         bench::PresetResult r =
@@ -207,9 +210,7 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_path.empty()) {
-    obs::Snapshot snapshot = obs::registry().snapshot();
-    obs::append_kernel_counters(snapshot);
-    obs::write_metrics_json(snapshot, metrics_path);
+    obs::write_metrics_json(obs::registry().snapshot(), metrics_path);
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   if (!trace_path.empty()) {

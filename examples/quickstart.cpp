@@ -16,7 +16,6 @@
 
 #include "core/app.hpp"
 #include "mc/presets.hpp"
-#include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
@@ -73,9 +72,7 @@ int main(int argc, char** argv) {
             << tally.weight_conservation_error() << "\n";
 
   if (!metrics_path.empty()) {
-    obs::Snapshot snapshot = obs::registry().snapshot();
-    obs::append_kernel_counters(snapshot);
-    obs::write_metrics_json(snapshot, metrics_path);
+    obs::write_metrics_json(obs::registry().snapshot(), metrics_path);
     std::cout << "metrics report:          " << metrics_path << "\n";
   }
   if (!trace_path.empty()) {

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
@@ -356,10 +355,9 @@ WorkerLoopOutcome run_worker_slots(std::size_t slots,
       // past the server's drain window.
       if (outcomes[slot].saw_shutdown && !finished.exchange(true) &&
           send_metrics_snapshot) {
-        // The whole process registry plus compile-gated kernel counters;
-        // the server folds it into the cluster-wide report.
-        obs::Snapshot snapshot = obs::registry().snapshot();
-        obs::append_kernel_counters(snapshot);
+        // The whole process registry; the server folds it into the
+        // cluster-wide report.
+        const obs::Snapshot snapshot = obs::registry().snapshot();
         Message metrics_msg;
         metrics_msg.type = MessageType::kMetricsSnapshot;
         metrics_msg.sender = outcomes[slot].final_name;

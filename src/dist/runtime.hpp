@@ -129,7 +129,7 @@ using SlotTransportFactory = std::function<std::unique_ptr<Transport>(
 /// Once any slot sees Shutdown the run is over: the others stop at
 /// their next loop check instead of spending their reconnect budget.
 /// With send_metrics_snapshot, the process encodes its obs registry
-/// (plus kernel counters) and ships it to the server as one
+/// (kernel counters included) and ships it to the server as one
 /// MetricsSnapshot; slots share the registry, so it is one per process,
 /// not one per slot. The first slot to see Shutdown sends it on its own
 /// transport right away (a slot still busy with a duplicate lease would

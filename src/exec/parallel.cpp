@@ -66,11 +66,10 @@ mc::SimulationTally ParallelKernelRunner::run(std::uint64_t photons,
   // every shard enters the specialized photon loop directly.
   const mc::Kernel::CompiledRun compiled = kernel_->compiled_run();
   obs::Counter& shards_total = obs::registry().counter("exec_shards_total");
-  obs::Counter& shard_photons =
-      obs::registry().counter("exec_shard_photons_total");
   const auto run_shard = [&](std::size_t s) {
-    // The span and counters are out-of-band: the shard's RNG/tally work
-    // is identical whether tracing is on or off.
+    // The span and counter are out-of-band: the shard's RNG/tally work
+    // is identical whether tracing is on or off. The kernel counts the
+    // shard's photons (mc_kernel_photons_launched_total).
     obs::ScopedSpan span("shard", "exec");
     span.arg("task_id", std::to_string(task_id));
     span.arg("shard", std::to_string(s));
@@ -80,7 +79,6 @@ mc::SimulationTally ParallelKernelRunner::run(std::uint64_t photons,
     compiled(shards[s], rng, tally);
     tallies[s].emplace(std::move(tally));
     shards_total.inc();
-    shard_photons.inc(shards[s]);
   };
   if (pool_ != nullptr && pool_->thread_count() > 1 && shards.size() > 1) {
     std::vector<std::function<void()>> jobs;

@@ -5,15 +5,13 @@
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "mc/packet_kernel.hpp"
 #include "mc/physics.hpp"
 #include "mc/scatter.hpp"
+#include "obs/metrics.hpp"
 #include "util/fastmath.hpp"
-
-#if defined(PHODIS_OBS_KERNEL)
-#include "obs/kernel_counters.hpp"
-#endif
 
 namespace phodis::mc {
 
@@ -101,27 +99,68 @@ void Kernel::run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
 PhotonTrace Kernel::trace(util::Xoshiro256pp& rng,
                           std::size_t max_vertices) const {
   SimulationTally scratch = make_tally();
+  KernelStats uncounted;
   PathRecorder recorder;
   PhotonTrace result;
-  (this->*select_sim_fn(scratch))(rng, scratch, recorder, &result,
+  (this->*select_sim_fn(scratch))(rng, scratch, uncounted, recorder, &result,
                                   max_vertices);
   return result;
+}
+
+namespace {
+
+/// The mc_kernel_* registry handles, resolved on the first flush.
+struct KernelMetrics {
+  obs::Counter& photons =
+      obs::registry().counter("mc_kernel_photons_launched_total");
+  obs::Counter& interactions =
+      obs::registry().counter("mc_kernel_interactions_total");
+  obs::Counter& roulette =
+      obs::registry().counter("mc_kernel_roulette_terminations_total");
+  obs::Counter& refills =
+      obs::registry().counter("mc_kernel_lane_refills_total");
+  // Bucket o-1 (le bound o) holds the iterations with o active lanes.
+  obs::Histogram& occupancy = obs::registry().histogram(
+      "mc_kernel_packet_occupancy", [] {
+        std::vector<double> bounds;
+        for (std::size_t o = 1; o <= kPacketWidth; ++o) {
+          bounds.push_back(static_cast<double>(o));
+        }
+        return bounds;
+      }());
+};
+
+}  // namespace
+
+void KernelStats::flush() const {
+  static const KernelMetrics metrics;
+  metrics.photons.inc(photons_launched);
+  metrics.interactions.inc(interactions);
+  metrics.roulette.inc(roulette_terminations);
+  metrics.refills.inc(lane_refills);
+  for (std::size_t o = 1; o <= kPacketWidth; ++o) {
+    if (occupancy[o] != 0) {
+      metrics.occupancy.observe(static_cast<double>(o), occupancy[o]);
+    }
+  }
 }
 
 void Kernel::CompiledRun::operator()(std::uint64_t photon_count,
                                      util::Xoshiro256pp& rng,
                                      SimulationTally& tally) const {
-  // One mode test per shard call (thousands of photons), so the packet
-  // dispatch costs the scalar path nothing measurable and the shard
-  // executors need no mode plumbing of their own.
+  // One mode test and one registry flush per shard call (thousands of
+  // photons), so neither costs the photon loops anything measurable and
+  // the shard executors need no mode or counter plumbing of their own.
+  KernelStats stats;
   if (kernel_->config_.mode == KernelMode::kPacket) {
-    run_packet(*kernel_, photon_count, rng, tally);
-    return;
+    run_packet(*kernel_, photon_count, rng, tally, stats);
+  } else {
+    PathRecorder recorder;
+    for (std::uint64_t i = 0; i < photon_count; ++i) {
+      (kernel_->*fn_)(rng, tally, stats, recorder, nullptr, 0);
+    }
   }
-  PathRecorder recorder;
-  for (std::uint64_t i = 0; i < photon_count; ++i) {
-    (kernel_->*fn_)(rng, tally, recorder, nullptr, 0);
-  }
+  stats.flush();
 }
 
 Kernel::CompiledRun Kernel::compiled_run() const noexcept {
@@ -161,12 +200,13 @@ namespace {
 
 template <bool F, bool R, bool P>
 void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
-                               SimulationTally& tally, PathRecorder& recorder,
-                               PhotonTrace* trace_out,
+                               SimulationTally& tally, KernelStats& stats,
+                               PathRecorder& recorder, PhotonTrace* trace_out,
                                std::size_t max_vertices) const {
   const CompiledMedium& medium = compiled_;
   PhotonPacket photon = source_.launch(rng);
   tally.count_launch();
+  ++stats.photons_launched;
   if constexpr (P) recorder.clear();
 
   VoxelGrid3D* fluence = nullptr;
@@ -217,10 +257,6 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
 
   if (!enter_tissue(photon, medium, tally)) {
     note_final_state();
-#if defined(PHODIS_OBS_KERNEL)
-    obs::KernelCounters::global().photons_launched.fetch_add(
-        1, std::memory_order_relaxed);
-#endif
     return;
   }
 
@@ -384,20 +420,8 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
 
   tally.record_max_depth(photon.max_depth, 1.0);
   note_final_state();
-#if defined(PHODIS_OBS_KERNEL)
-  // Out-of-band flush: a few relaxed adds per *photon*, accumulated in the
-  // locals above. Nothing here reads the RNG or writes the tally, so the
-  // bitwise contract holds whether or not this block is compiled
-  // (pinned by the golden-hash tests, which run with the toggle on).
-  {
-    obs::KernelCounters& kc = obs::KernelCounters::global();
-    kc.photons_launched.fetch_add(1, std::memory_order_relaxed);
-    kc.interactions.fetch_add(interactions, std::memory_order_relaxed);
-    if (photon.fate == PhotonFate::kAbsorbed) {
-      kc.roulette_terminations.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-#endif
+  stats.interactions += interactions;
+  if (photon.fate == PhotonFate::kAbsorbed) ++stats.roulette_terminations;
   if constexpr (P) {
     if (config_.record_all_paths && photon.fate != PhotonFate::kDetected) {
       recorder.commit(*path_grid);

@@ -31,7 +31,9 @@
 // util::fast_radius, a last-ulp change re-recorded in that test). The
 // per-event physics — entry, Fresnel crossing, refraction, exit scoring
 // and roulette — is the set of operators in mc/physics.hpp, shared with
-// the packet loop.
+// the packet loop. Either loop counts its events into a run-local
+// KernelStats, which CompiledRun flushes into the obs registry once per
+// call.
 #pragma once
 
 #include <array>
@@ -48,6 +50,7 @@
 #include "mc/physics.hpp"
 #include "mc/source.hpp"
 #include "mc/tally.hpp"
+#include "mc/vmath.hpp"
 #include "util/rng.hpp"
 
 namespace phodis::mc {
@@ -113,6 +116,26 @@ struct KernelConfig {
   void validate() const;
 };
 
+/// Event counts of photon-loop runs. A loop adds to plain integers; no
+/// count reads a draw or writes a tally, so counting is out-of-band of
+/// the bitwise contract.
+struct KernelStats {
+  std::uint64_t photons_launched = 0;
+  /// Loop iterations: interaction sites plus interface crossings.
+  std::uint64_t interactions = 0;
+  std::uint64_t roulette_terminations = 0;
+  /// Packet loop: dead lanes re-armed with the next photon of the stream
+  /// (the initial fill is not a refill).
+  std::uint64_t lane_refills = 0;
+  /// Packet loop: occupancy[o] counts iterations with exactly o active
+  /// lanes (slot 0 stays zero: the loop exits when no lane is active).
+  std::uint64_t occupancy[kPacketWidth + 1] = {};
+
+  /// Add these counts to the process registry's mc_kernel_* metrics:
+  /// four counters and the occupancy histogram (bounds 1..kPacketWidth).
+  void flush() const;
+};
+
 /// One photon's recorded trajectory, for the example programs that draw
 /// individual paths.
 struct PhotonTrace {
@@ -131,10 +154,12 @@ class Kernel {
 
   /// Simulate `photon_count` packets, accumulating into `tally`. The
   /// specialized loop is selected once from the tally's enabled features.
+  /// Counts the run into the mc_kernel_* metrics, as CompiledRun does.
   void run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
            SimulationTally& tally) const;
 
-  /// Simulate one photon and capture its trajectory vertices.
+  /// Simulate one photon and capture its trajectory vertices. Trace
+  /// photons are not counted in the mc_kernel_* metrics.
   PhotonTrace trace(util::Xoshiro256pp& rng,
                     std::size_t max_vertices = 100000) const;
 
@@ -150,7 +175,7 @@ class Kernel {
  private:
   /// Pointer to one photon-loop specialization.
   using SimFn = void (Kernel::*)(util::Xoshiro256pp&, SimulationTally&,
-                                 PathRecorder&, PhotonTrace*,
+                                 KernelStats&, PathRecorder&, PhotonTrace*,
                                  std::size_t) const;
 
  public:
@@ -161,6 +186,8 @@ class Kernel {
   /// passed to operator() must have the shape of make_tally().
   class CompiledRun {
    public:
+    /// Runs the configured loop (scalar or packet) and flushes its
+    /// KernelStats into the registry once, at the end of the call.
     void operator()(std::uint64_t photon_count, util::Xoshiro256pp& rng,
                     SimulationTally& tally) const;
 
@@ -178,12 +205,13 @@ class Kernel {
   /// The scalar photon loop, specialized at compile time on which
   /// per-interaction deposits exist: F fluence grid, R radial tally, P
   /// path grid. A non-null `trace_out` captures the trajectory without
-  /// changing any draw. Every specialization reproduces the reference
-  /// loop bit for bit — same rng draw order, same FP expression order
-  /// (see the golden test).
+  /// changing any draw; `stats` counts the photon's events. Every
+  /// specialization reproduces the reference loop bit for bit — same rng
+  /// draw order, same FP expression order (see the golden test).
   template <bool F, bool R, bool P>
   void simulate_one_impl(util::Xoshiro256pp& rng, SimulationTally& tally,
-                         PathRecorder& recorder, PhotonTrace* trace_out,
+                         KernelStats& stats, PathRecorder& recorder,
+                         PhotonTrace* trace_out,
                          std::size_t max_vertices) const;
 
   /// Dispatch-table plumbing (table built in kernel.cpp).

@@ -61,9 +61,10 @@ const PacketIsaBuild& packet_isa_build(PacketIsa isa) noexcept {
 }
 
 void run_packet(const Kernel& kernel, std::uint64_t photon_count,
-                util::Xoshiro256pp& rng, SimulationTally& tally) {
+                util::Xoshiro256pp& rng, SimulationTally& tally,
+                KernelStats& stats) {
   packet_isa_build(dispatched_packet_isa()).run(kernel, photon_count, rng,
-                                                tally);
+                                                tally, stats);
 }
 
 namespace {

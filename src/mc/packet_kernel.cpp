@@ -46,10 +46,6 @@
 #include "mc/vmath.hpp"
 #include "util/vec3.hpp"
 
-#if defined(PHODIS_OBS_KERNEL)
-#include "obs/kernel_counters.hpp"
-#endif
-
 #if !defined(PHODIS_PACKET_ISA)
 // Built once per PacketIsa: PHODIS_PACKET_ISA names the build's namespace.
 #error "PHODIS_PACKET_ISA is not defined (see CMakeLists.txt)"
@@ -60,11 +56,6 @@ namespace phodis::mc::PHODIS_PACKET_ISA {
 namespace {
 
 constexpr std::size_t W = kPacketWidth;
-
-#if defined(PHODIS_OBS_KERNEL)
-static_assert(obs::KernelCounters::kOccupancySlots == W + 1,
-              "obs occupancy histogram slots must cover 0..kPacketWidth");
-#endif
 
 inline std::uint64_t rotl64(std::uint64_t v, int k) noexcept {
   return (v << k) | (v >> (64 - k));
@@ -280,7 +271,8 @@ inline bool refill_lane(PacketState& p, std::size_t i, const Source& source,
 }  // namespace
 
 void run_packet(const Kernel& kernel, std::uint64_t photon_count,
-                util::Xoshiro256pp& rng, SimulationTally& tally) {
+                util::Xoshiro256pp& rng, SimulationTally& tally,
+                KernelStats& stats) {
   const CompiledMedium& medium = kernel.compiled_medium();
   const KernelConfig& config = kernel.config();
   const Source& source = kernel.source();
@@ -327,9 +319,13 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
   std::size_t active_count = 0;
   std::uint64_t launched = 0;
   std::uint64_t refills = 0;
-  std::uint64_t interactions_total = 0;
   std::uint64_t roulette_terms = 0;
+  // Occupancy only falls: a lane parks once the stream is exhausted and
+  // is never refilled. So each occupancy level is one run of consecutive
+  // iterations, counted when a lane parks rather than every iteration.
   std::uint64_t occupancy[W + 1] = {};
+  std::uint64_t iterations = 0;
+  std::uint64_t level_start = 0;  ///< iterations run before this level
 
   for (std::size_t k = 0; k < W; ++k) {
     if (refill_lane(p, k, source, medium, afrac, tally, next_photon,
@@ -354,8 +350,7 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
   std::uint64_t interact[W];
 
   while (active_count > 0) {
-    occupancy[active_count] += 1;
-    interactions_total += active_count;
+    ++iterations;
 
     // --- 1. fixed draw schedule: three uniforms per lane per event ------
     lanes_draw3(p, u_step, u_evt, u_phi);
@@ -519,28 +514,23 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
           ++refills;
         } else {
           park_lane(p, i, medium, afrac);
+          occupancy[active_count] += iterations - level_start;
+          level_start = iterations;
           --active_count;
         }
       }
     }
   }
 
-#if defined(PHODIS_OBS_KERNEL)
-  // Out-of-band flush, once per run: never reads the RNG, never writes
-  // the tally, so packet goldens hold with the toggle on or off.
-  {
-    obs::KernelCounters& kc = obs::KernelCounters::global();
-    kc.photons_launched.fetch_add(launched, std::memory_order_relaxed);
-    kc.interactions.fetch_add(interactions_total, std::memory_order_relaxed);
-    kc.roulette_terminations.fetch_add(roulette_terms,
-                                       std::memory_order_relaxed);
-    kc.lane_refills.fetch_add(refills, std::memory_order_relaxed);
-    for (std::size_t o = 1; o <= W; ++o) {
-      kc.packet_occupancy[o].fetch_add(occupancy[o],
-                                       std::memory_order_relaxed);
-    }
+  // Counted in locals above (a reference into `stats` could alias the
+  // tally for the compiler) and handed out once per run.
+  stats.photons_launched += launched;
+  stats.roulette_terminations += roulette_terms;
+  stats.lane_refills += refills;
+  for (std::size_t o = 1; o <= W; ++o) {
+    stats.occupancy[o] += occupancy[o];
+    stats.interactions += o * occupancy[o];  // o lanes advanced per iteration
   }
-#endif
 }
 
 }  // namespace phodis::mc::PHODIS_PACKET_ISA

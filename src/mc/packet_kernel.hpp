@@ -36,9 +36,11 @@ namespace phodis::mc {
 /// accumulating into `tally` (which must have the shape of
 /// kernel.make_tally()). Advances `rng` by exactly kPacketWidth
 /// long_jump()s — the per-lane sub-streams — regardless of photon count.
+/// Adds the run's event counts to `stats`, which it does not flush.
 /// Runs the dispatched_packet_isa() build.
 void run_packet(const Kernel& kernel, std::uint64_t photon_count,
-                util::Xoshiro256pp& rng, SimulationTally& tally);
+                util::Xoshiro256pp& rng, SimulationTally& tally,
+                KernelStats& stats);
 
 // --- instruction-set builds -------------------------------------------------
 //
@@ -88,7 +90,7 @@ PacketIsa dispatched_packet_isa();
 /// SIGILL: check packet_isa_supported() first.
 struct PacketIsaBuild {
   void (*run)(const Kernel&, std::uint64_t, util::Xoshiro256pp&,
-              SimulationTally&);
+              SimulationTally&, KernelStats&);
   void (*vlog)(const double*, double*, std::size_t) noexcept;
   void (*vsincos_2pi)(const double*, double*, double*, std::size_t) noexcept;
 };
@@ -96,12 +98,14 @@ const PacketIsaBuild& packet_isa_build(PacketIsa isa) noexcept;
 
 namespace isa_avx2 {
 void run_packet(const Kernel& kernel, std::uint64_t photon_count,
-                util::Xoshiro256pp& rng, SimulationTally& tally);
+                util::Xoshiro256pp& rng, SimulationTally& tally,
+                KernelStats& stats);
 }  // namespace isa_avx2
 
 namespace isa_avx512 {
 void run_packet(const Kernel& kernel, std::uint64_t photon_count,
-                util::Xoshiro256pp& rng, SimulationTally& tally);
+                util::Xoshiro256pp& rng, SimulationTally& tally,
+                KernelStats& stats);
 }  // namespace isa_avx512
 
 /// Default acceptance threshold for statistical_equivalence(): 6 combined

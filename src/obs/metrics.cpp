@@ -104,7 +104,7 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i] = 0;
 }
 
-void Histogram::observe(double value) noexcept {
+void Histogram::observe(double value, std::uint64_t n) noexcept {
   std::size_t bucket = bounds_.size();  // +inf
   for (std::size_t i = 0; i < bounds_.size(); ++i) {
     if (value <= bounds_[i]) {
@@ -112,10 +112,11 @@ void Histogram::observe(double value) noexcept {
       break;
     }
   }
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  observations_.fetch_add(1, std::memory_order_relaxed);
+  counts_[bucket].fetch_add(n, std::memory_order_relaxed);
+  observations_.fetch_add(n, std::memory_order_relaxed);
+  const double added = value * static_cast<double>(n);
   double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + value,
+  while (!sum_.compare_exchange_weak(cur, cur + added,
                                      std::memory_order_relaxed)) {
   }
 }

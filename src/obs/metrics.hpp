@@ -87,7 +87,9 @@ class Gauge {
 /// handful of bounds plus relaxed atomics — no allocation, no lock.
 class Histogram {
  public:
-  void observe(double value) noexcept;
+  /// Record `n` observations of `value` at once (one bucket add, and
+  /// value·n added to the sum).
+  void observe(double value, std::uint64_t n = 1) noexcept;
 
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   std::vector<std::uint64_t> bucket_counts() const;

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -259,14 +258,15 @@ TEST(ObsRegistry, HistogramBucketsFollowLeConvention) {
   h.observe(0.1);   // <= 0.1 (le is inclusive)
   h.observe(0.5);   // <= 1.0
   h.observe(100.0); // +inf bucket
+  h.observe(10.0, 3);  // <= 10.0, three observations at once
   const std::vector<std::uint64_t> counts = h.bucket_counts();
   ASSERT_EQ(counts.size(), 4u);
   EXPECT_EQ(counts[0], 2u);
   EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 0u);
+  EXPECT_EQ(counts[2], 3u);
   EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.observations(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.05 + 0.1 + 0.5 + 100.0);
+  EXPECT_EQ(h.observations(), 7u);
+  EXPECT_DOUBLE_EQ(h.sum(), 0.05 + 0.1 + 0.5 + 100.0 + 3 * 10.0);
 }
 
 TEST(ObsRegistry, HistogramBoundsMustAscend) {
@@ -497,44 +497,6 @@ TEST(ObsTrace, EnableResetsEpochAndBuffer) {
   recorder.enable();  // re-enable clears
   EXPECT_EQ(recorder.event_count(), 0u);
   recorder.disable();
-}
-
-// ---------------------------------------------------------------------------
-// Kernel counters (compile-gated)
-// ---------------------------------------------------------------------------
-
-TEST(ObsKernelCounters, AppendMatchesCompileToggle) {
-  obs::reset_kernel_counters();
-  obs::Snapshot snap;
-  obs::append_kernel_counters(snap);
-  if (obs::kernel_counters_compiled()) {
-    // photons / interactions / roulette counters, the packet loop's
-    // lane-refill counter, and the packet-occupancy histogram.
-    ASSERT_EQ(snap.samples.size(), 5u);
-    EXPECT_EQ(snap.counter_value("mc_kernel_photons_launched_total"), 0u);
-    EXPECT_EQ(snap.counter_value("mc_kernel_lane_refills_total"), 0u);
-#if defined(PHODIS_OBS_KERNEL)
-    obs::KernelCounters::global().photons_launched.fetch_add(
-        12, std::memory_order_relaxed);
-    obs::KernelCounters::global().lane_refills.fetch_add(
-        7, std::memory_order_relaxed);
-    obs::KernelCounters::global().packet_occupancy[8].fetch_add(
-        3, std::memory_order_relaxed);
-    obs::Snapshot after;
-    obs::append_kernel_counters(after);
-    EXPECT_EQ(after.counter_value("mc_kernel_photons_launched_total"), 12u);
-    EXPECT_EQ(after.counter_value("mc_kernel_lane_refills_total"), 7u);
-    const auto occ = std::find_if(
-        after.samples.begin(), after.samples.end(), [](const auto& s) {
-          return s.name == "mc_kernel_packet_occupancy";
-        });
-    ASSERT_NE(occ, after.samples.end());
-    EXPECT_EQ(occ->observations, 3u);
-    obs::reset_kernel_counters();
-#endif
-  } else {
-    EXPECT_TRUE(snap.samples.empty());
-  }
 }
 
 }  // namespace

@@ -161,7 +161,8 @@ std::vector<std::uint8_t> run_bytes(mc::PacketIsa isa,
   const mc::Kernel kernel(config);
   mc::SimulationTally tally = kernel.make_tally();
   util::Xoshiro256pp rng(seed);
-  mc::packet_isa_build(isa).run(kernel, photons, rng, tally);
+  mc::KernelStats stats;
+  mc::packet_isa_build(isa).run(kernel, photons, rng, tally, stats);
   return tally.to_bytes();
 }
 
@@ -262,7 +263,8 @@ std::vector<std::uint8_t> shard_plan_bytes(mc::PacketIsa isa,
     jobs.push_back([&, s] {
       util::Xoshiro256pp rng = streams[s];
       mc::SimulationTally tally = kernel.make_tally();
-      mc::packet_isa_build(isa).run(kernel, shards[s], rng, tally);
+      mc::KernelStats stats;
+      mc::packet_isa_build(isa).run(kernel, shards[s], rng, tally, stats);
       tallies[s].emplace(std::move(tally));
     });
   }

@@ -1,16 +1,21 @@
 // The determinism contract of the parallel execution subsystem: the same
 // seed at 1, 2, 4, and 8 threads produces bitwise-identical tallies,
 // equal to run_serial — through the runner directly and through
-// MonteCarloApp::run_parallel.
+// MonteCarloApp::run_parallel. Also: the kernel's registry counters
+// count exactly the sharded run they flush from, with threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/app.hpp"
 #include "exec/parallel.hpp"
 #include "exec/threadpool.hpp"
+#include "mc/kernel.hpp"
 #include "mc/presets.hpp"
+#include "obs/metrics.hpp"
 
 namespace phodis {
 namespace {
@@ -115,6 +120,94 @@ TEST(App, RunParallelConservesEnergyAndBudget) {
   EXPECT_EQ(tally.photons_launched(), 12'000u);
   EXPECT_LT(tally.weight_conservation_error(), 1e-6 * 12'000);
 }
+
+// ---------------------------------------------------------------------------
+// mc_kernel_* registry deltas across one sharded run
+// ---------------------------------------------------------------------------
+
+const obs::MetricSample* find_sample(const obs::Snapshot& snapshot,
+                                     const std::string& name) {
+  const auto it = std::find_if(
+      snapshot.samples.begin(), snapshot.samples.end(),
+      [&](const obs::MetricSample& s) { return s.name == name; });
+  return it == snapshot.samples.end() ? nullptr : &*it;
+}
+
+class KernelRegistryDelta : public testing::TestWithParam<mc::KernelMode> {};
+
+TEST_P(KernelRegistryDelta, CountsMatchTheShardedRun) {
+  // Two full 4096-photon shards plus 809: a multiple of neither the
+  // shard size nor kPacketWidth.
+  constexpr std::uint64_t kPhotons = 9'001;
+  mc::KernelConfig config;
+  // Normal incidence on grey matter: every launch enters the tissue.
+  config.medium = mc::homogeneous_grey_matter();
+  config.mode = GetParam();
+  const mc::Kernel kernel(config);
+  exec::ThreadPool pool(4);
+  const exec::ParallelKernelRunner runner(kernel, &pool);
+  const std::vector<std::uint64_t> shards =
+      exec::shard_plan(kPhotons, runner.shard_photons());
+  ASSERT_EQ(shards.size(), 3u);
+
+  const obs::Snapshot before = obs::registry().snapshot();
+  const mc::SimulationTally tally = runner.run(kPhotons, 77, 0);
+  const obs::Snapshot after = obs::registry().snapshot();
+  const auto delta = [&](const char* name) {
+    return after.counter_value(name) - before.counter_value(name);
+  };
+  const auto histogram_sum = [](const obs::Snapshot& snapshot) {
+    const obs::MetricSample* s =
+        find_sample(snapshot, "mc_kernel_packet_occupancy");
+    return s == nullptr ? 0.0 : s->sum;
+  };
+
+  ASSERT_EQ(tally.photons_launched(), kPhotons);
+  EXPECT_EQ(delta("mc_kernel_photons_launched_total"), kPhotons);
+  EXPECT_EQ(delta("exec_shards_total"), shards.size());
+  const std::uint64_t interactions = delta("mc_kernel_interactions_total");
+  EXPECT_GT(interactions, kPhotons);
+  EXPECT_LE(delta("mc_kernel_roulette_terminations_total"), kPhotons);
+
+  // Every flush registers all five metrics with the same kinds, whatever
+  // the mode.
+  for (const char* name :
+       {"mc_kernel_photons_launched_total", "mc_kernel_interactions_total",
+        "mc_kernel_roulette_terminations_total",
+        "mc_kernel_lane_refills_total"}) {
+    const obs::MetricSample* s = find_sample(after, name);
+    ASSERT_NE(s, nullptr) << name;
+    EXPECT_EQ(s->kind, obs::MetricKind::kCounter) << name;
+  }
+  const obs::MetricSample* occupancy =
+      find_sample(after, "mc_kernel_packet_occupancy");
+  ASSERT_NE(occupancy, nullptr);
+  EXPECT_EQ(occupancy->kind, obs::MetricKind::kHistogram);
+  EXPECT_EQ(occupancy->bounds.size(), mc::kPacketWidth);
+
+  if (GetParam() == mc::KernelMode::kPacket) {
+    // Each loop iteration advances every active lane by one event.
+    EXPECT_EQ(histogram_sum(after) - histogram_sum(before),
+              static_cast<double>(interactions));
+    // Each shard is one run: its first kPacketWidth launches fill the
+    // lanes, every later launch is a refill (no launch dies at entry).
+    std::uint64_t refills = 0;
+    for (const std::uint64_t n : shards) {
+      refills += n - std::min<std::uint64_t>(n, mc::kPacketWidth);
+    }
+    EXPECT_EQ(delta("mc_kernel_lane_refills_total"), refills);
+  } else {
+    EXPECT_EQ(delta("mc_kernel_lane_refills_total"), 0u);
+    EXPECT_EQ(histogram_sum(after), histogram_sum(before));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, KernelRegistryDelta,
+    testing::Values(mc::KernelMode::kScalar, mc::KernelMode::kPacket),
+    [](const testing::TestParamInfo<mc::KernelMode>& info) {
+      return mc::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace phodis

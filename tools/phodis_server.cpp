@@ -41,7 +41,6 @@
 #include "mc/packet_kernel.hpp"
 #include "mc/presets.hpp"
 #include "net/server.hpp"
-#include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
@@ -125,20 +124,19 @@ int main(int argc, char** argv) {
     if (!metrics_path.empty()) loop_options.metrics_drain_ms = 400;
 
     // One cluster-wide report: the server registry (scheduling, wire, and
-    // compile-gated kernel counters, including the verify rerun) folded
-    // with every worker snapshot that arrived.
+    // the kernel counters of the verify rerun) folded with every worker
+    // snapshot that arrived.
     const auto dump_observability = [&] {
       if (!metrics_path.empty()) {
         obs::Snapshot cluster = obs::registry().snapshot();
-        obs::append_kernel_counters(cluster);
         cluster.merge(worker_snapshots);
         obs::write_metrics_json(cluster, metrics_path);
         std::cout << "phodis_server: metrics report: " << metrics_path
-                  << "\n";
+                  << std::endl;
       }
       if (!trace_path.empty()) {
         obs::TraceRecorder::global().write_json(trace_path);
-        std::cout << "phodis_server: trace: " << trace_path << "\n";
+        std::cout << "phodis_server: trace: " << trace_path << std::endl;
       }
     };
 
@@ -161,12 +159,15 @@ int main(int argc, char** argv) {
                    util::format_double(serve_seconds, 4)});
     table.add_row({"diffuse reflectance",
                    util::format_double(tally.diffuse_reflectance(), 6)});
+    // Flushed as each part is known: a reader on a pipe sees the summary
+    // before the serial re-run starts, not at exit.
     table.print(std::cout);
+    std::cout.flush();
 
     transport.shutdown();
 
     if (args.get_flag("no-verify")) {
-      std::cout << "serial cross-check: skipped (--no-verify)\n";
+      std::cout << "serial cross-check: skipped (--no-verify)" << std::endl;
       dump_observability();
       return 0;
     }
@@ -177,7 +178,7 @@ int main(int argc, char** argv) {
     const mc::SimulationTally serial = app.run_parallel(verify_threads, chunk);
     const bool identical = serial.to_bytes() == tally.to_bytes();
     std::cout << "serial cross-check: bitwise-identical: "
-              << (identical ? "yes" : "NO") << "\n";
+              << (identical ? "yes" : "NO") << std::endl;
     bool stat_ok = true;
     if (mode == mc::KernelMode::kPacket) {
       // Packet mode additionally proves physics equivalence: an
@@ -194,8 +195,8 @@ int main(int argc, char** argv) {
       std::cout << "packet-vs-scalar statistical check: max_z="
                 << util::format_double(eq.max_z, 2) << " (threshold "
                 << util::format_double(mc::kDefaultStatSigma, 1)
-                << "): " << (eq.pass ? "PASS" : "FAIL") << "\n";
-      if (!eq.pass) std::cout << eq.summary();
+                << "): " << (eq.pass ? "PASS" : "FAIL") << std::endl;
+      if (!eq.pass) std::cout << eq.summary() << std::flush;
     }
     dump_observability();
     return identical && stat_ok ? 0 : 1;

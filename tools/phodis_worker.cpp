@@ -51,7 +51,6 @@
 #include "exec/threadpool.hpp"
 #include "mc/kernel.hpp"
 #include "net/client.hpp"
-#include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
@@ -121,9 +120,7 @@ int main(int argc, char** argv) {
                                        : "lost the server")
               << "\n";
     if (!metrics_path.empty()) {
-      obs::Snapshot snapshot = obs::registry().snapshot();
-      obs::append_kernel_counters(snapshot);
-      obs::write_metrics_json(snapshot, metrics_path);
+      obs::write_metrics_json(obs::registry().snapshot(), metrics_path);
       std::cout << "phodis_worker " << outcome.final_name
                 << ": metrics report: " << metrics_path << "\n";
     }
