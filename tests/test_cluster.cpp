@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "cluster/fleet.hpp"
 #include "cluster/simulator.hpp"
@@ -236,6 +238,180 @@ TEST(Simulator, NodeUtilisationIsReported) {
   const ClusterReport report = ClusterSimulator(small_config(4)).run();
   EXPECT_GT(report.mean_node_utilisation(), 0.5);
   EXPECT_LE(report.mean_node_utilisation(), 1.0);
+}
+
+// ---------- bit-for-bit pins --------------------------------------------------
+// Exact outputs of the simulator on four configurations, pinned with
+// EXPECT_EQ on the doubles: the leasing, the event order and the load
+// stream draws must reproduce them to the last bit. A refactor of the
+// simulator or of the scheduling code it drives must leave every value
+// here unedited.
+
+struct Pinned {
+  double makespan_s = 0.0;
+  double server_busy_s = 0.0;
+  std::vector<std::uint64_t> tasks;    ///< per node
+  std::vector<std::uint64_t> photons;  ///< per node
+};
+
+void expect_pinned(const ClusterReport& report, const Pinned& expected) {
+  EXPECT_EQ(report.makespan_s, expected.makespan_s);
+  EXPECT_EQ(report.server_busy_s, expected.server_busy_s);
+  ASSERT_EQ(report.nodes.size(), expected.tasks.size());
+  ASSERT_EQ(report.nodes.size(), expected.photons.size());
+  for (std::size_t i = 0; i < report.nodes.size(); ++i) {
+    EXPECT_EQ(report.nodes[i].tasks_completed, expected.tasks[i]) << i;
+    EXPECT_EQ(report.nodes[i].photons_computed, expected.photons[i]) << i;
+  }
+}
+
+/// 65 Table 2 nodes from the end of the P3 row on: P3s, P4s, P2s and the
+/// rest, with a 100k remainder chunk at the end of the plan.
+ClusterConfig mixed_static_config() {
+  ClusterConfig config;
+  const std::vector<NodeSpec> table2 = table2_fleet();
+  config.fleet.assign(table2.begin() + 85, table2.end());
+  config.total_photons = 60'100'000;
+  config.chunk_photons = 250'000;
+  config.mode = ScheduleMode::kStatic;
+  return config;  // default non-dedicated load, seed 2006
+}
+
+TEST(SimulatorPinned, Table2FleetDynamic) {
+  ClusterConfig config;
+  config.fleet = table2_fleet();
+  config.total_photons = 100'100'000;  // 400 full chunks + a 100k one
+  config.chunk_photons = 250'000;
+  const Pinned expected{
+      .makespan_s = 2244.1334998304619,
+      .server_busy_s = 80.199999999999974,
+      .tasks = {
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 5, 5, 6, 5, 6,
+          5, 5, 6, 5, 5, 5, 6, 6,
+          5, 6, 6, 6, 5, 6, 6, 6,
+          6, 6, 6, 6, 6, 6, 6, 6,
+          6, 6, 6, 6, 6, 6, 6, 6,
+          6, 6, 6, 6, 6, 6, 7, 6,
+          6, 6, 7, 6, 7, 1, 1, 1,
+          1, 5, 1, 1, 3, 3},
+      .photons = {
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 250000, 250000, 250000, 250000, 250000,
+          250000, 250000, 250000, 1250000, 1250000, 1500000, 1250000, 1500000,
+          1250000, 1250000, 1500000, 1250000, 1250000, 1250000, 1350000, 1500000,
+          1250000, 1500000, 1500000, 1500000, 1250000, 1500000, 1500000, 1500000,
+          1500000, 1500000, 1500000, 1500000, 1500000, 1500000, 1500000, 1500000,
+          1500000, 1500000, 1500000, 1500000, 1500000, 1500000, 1500000, 1500000,
+          1500000, 1500000, 1500000, 1500000, 1500000, 1500000, 1750000, 1500000,
+          1500000, 1500000, 1750000, 1500000, 1750000, 250000, 250000, 250000,
+          250000, 1250000, 250000, 250000, 750000, 750000},
+  };
+  expect_pinned(ClusterSimulator(config).run(), expected);
+}
+
+TEST(SimulatorPinned, SpeedupSeriesOnHomogeneousP4Fleet) {
+  ClusterConfig base;
+  base.fleet = homogeneous_p4_fleet(1);
+  base.total_photons = 200'000'000;
+  base.chunk_photons = 250'000;
+  const auto series = speedup_series(base, 60, {1, 15, 60});
+  ASSERT_EQ(series.size(), 3u);
+  EXPECT_EQ(series[0].processors, 1u);
+  EXPECT_EQ(series[0].makespan_s, 118596.81884117518);
+  EXPECT_EQ(series[0].speedup, 1.0);
+  EXPECT_EQ(series[0].efficiency, 1.0);
+  EXPECT_EQ(series[1].processors, 15u);
+  EXPECT_EQ(series[1].makespan_s, 7987.2372641097145);
+  EXPECT_EQ(series[1].speedup, 14.848290456336455);
+  EXPECT_EQ(series[1].efficiency, 0.9898860304224304);
+  EXPECT_EQ(series[2].processors, 60u);
+  EXPECT_EQ(series[2].makespan_s, 2074.5973548976531);
+  EXPECT_EQ(series[2].speedup, 57.166186277638417);
+  EXPECT_EQ(series[2].efficiency, 0.95276977129397367);
+}
+
+TEST(SimulatorPinned, StaticGreedy) {
+  dist::GreedyScheduler greedy;
+  const Pinned expected{
+      .makespan_s = 770.54055851209898,
+      .server_busy_s = 48.199999999999733,
+      .tasks = {
+          0, 0, 0, 0, 0, 0, 4, 4,
+          4, 4, 4, 4, 4, 4, 4, 4,
+          4, 4, 4, 4, 4, 4, 5, 5,
+          5, 5, 5, 5, 5, 5, 5, 5,
+          5, 5, 5, 5, 5, 5, 5, 5,
+          5, 5, 5, 5, 5, 5, 5, 5,
+          5, 5, 5, 5, 5, 5, 5, 5,
+          0, 0, 0, 0, 3, 0, 1, 1,
+          2},
+      .photons = {
+          0, 0, 0, 0, 0, 0, 1000000, 1000000,
+          1000000, 1000000, 1000000, 1000000, 1000000, 1000000, 1000000, 1000000,
+          1000000, 1000000, 1000000, 1000000, 1000000, 1000000, 1250000, 1250000,
+          1250000, 1250000, 1250000, 1250000, 1250000, 1250000, 1250000, 1250000,
+          1250000, 1250000, 1250000, 1250000, 1250000, 1250000, 1250000, 1250000,
+          1250000, 1250000, 1250000, 1250000, 1250000, 1250000, 1250000, 1250000,
+          1250000, 1250000, 1250000, 1250000, 1250000, 1250000, 1250000, 1250000,
+          0, 0, 0, 0, 750000, 0, 100000, 250000,
+          500000},
+  };
+  expect_pinned(ClusterSimulator(mixed_static_config()).run_static(greedy),
+                expected);
+}
+
+TEST(SimulatorPinned, StaticGeneticAtFixedSeed) {
+  dist::GaScheduler::Params params;
+  params.seed = 7;
+  params.generations = 40;
+  params.seed_with_greedy = false;
+  dist::GaScheduler genetic(params);
+  const Pinned expected{
+      .makespan_s = 1277.4324750930436,
+      .server_busy_s = 48.199999999999697,
+      .tasks = {
+          1, 0, 1, 0, 0, 0, 4, 7,
+          3, 3, 2, 6, 4, 6, 7, 5,
+          3, 4, 3, 4, 7, 3, 4, 4,
+          3, 5, 3, 8, 3, 4, 5, 3,
+          5, 3, 6, 5, 8, 6, 5, 5,
+          3, 6, 7, 5, 4, 8, 4, 2,
+          8, 3, 4, 7, 3, 3, 4, 4,
+          0, 0, 0, 0, 2, 1, 0, 2,
+          3},
+      .photons = {
+          250000, 0, 250000, 0, 0, 0, 850000, 1750000,
+          750000, 750000, 500000, 1500000, 1000000, 1500000, 1750000, 1250000,
+          750000, 1000000, 750000, 1000000, 1750000, 750000, 1000000, 1000000,
+          750000, 1250000, 750000, 2000000, 750000, 1000000, 1250000, 750000,
+          1250000, 750000, 1500000, 1250000, 2000000, 1500000, 1250000, 1250000,
+          750000, 1500000, 1750000, 1250000, 1000000, 2000000, 1000000, 500000,
+          2000000, 750000, 1000000, 1750000, 750000, 750000, 1000000, 1000000,
+          0, 0, 0, 0, 500000, 250000, 0, 500000,
+          750000},
+  };
+  expect_pinned(ClusterSimulator(mixed_static_config()).run_static(genetic),
+                expected);
 }
 
 }  // namespace
