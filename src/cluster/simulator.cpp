@@ -1,9 +1,13 @@
 #include "cluster/simulator.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 
+#include "dist/datamanager.hpp"
+#include "dist/server_core.hpp"
 #include "util/rng.hpp"
 
 namespace phodis::cluster {
@@ -84,7 +88,7 @@ ClusterReport ClusterSimulator::run_with_assignment(
     std::uint64_t seq;  // tie-break so ordering is fully deterministic
     std::size_t node;
     Kind kind;
-    std::uint64_t photons;  // for kResult
+    std::uint64_t task_id;  // for kResult
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -93,30 +97,32 @@ ClusterReport ClusterSimulator::run_with_assignment(
   };
 
   const std::size_t node_count = config_.fleet.size();
-
-  // Work queues: one global queue (dynamic) or one per node (static).
-  std::vector<std::vector<std::uint64_t>> per_node_chunks(node_count);
-  std::size_t next_global_chunk = 0;
-  if (assignment) {
-    if (assignment->size() != chunks.size()) {
-      throw std::invalid_argument("static assignment size mismatch");
-    }
-    // Reverse order so pop_back() serves chunks in schedule order.
-    for (std::size_t j = chunks.size(); j-- > 0;) {
-      per_node_chunks[(*assignment)[j]].push_back(chunks[j]);
-    }
+  if (assignment && assignment->size() != chunks.size()) {
+    throw std::invalid_argument("static assignment size mismatch");
   }
 
-  auto take_chunk = [&](std::size_t node) -> std::optional<std::uint64_t> {
-    if (assignment) {
-      auto& mine = per_node_chunks[node];
-      if (mine.empty()) return std::nullopt;
-      const std::uint64_t c = mine.back();
-      mine.pop_back();
-      return c;
-    }
-    if (next_global_chunk >= chunks.size()) return std::nullopt;
-    return chunks[next_global_chunk++];
+  // The server's task pools, leased by the runtime's own ServerCore:
+  // one DataManager holding the whole chunk plan (dynamic), or one per
+  // node holding that node's schedule in order (static). Task j is
+  // chunks[j]. Leases never expire: the model has no failures.
+  const std::size_t pool_count = assignment ? node_count : 1;
+  std::deque<dist::DataManager> managers;
+  std::vector<dist::ServerCore> cores;
+  cores.reserve(pool_count);
+  for (std::size_t p = 0; p < pool_count; ++p) {
+    cores.emplace_back(
+        managers.emplace_back(std::numeric_limits<double>::infinity()));
+  }
+  for (std::size_t j = 0; j < chunks.size(); ++j) {
+    managers[assignment ? (*assignment)[j] : 0].add_task(j, {});
+  }
+  const auto step = [&](std::size_t node, dist::MessageType type,
+                        std::uint64_t task_id, double now) {
+    dist::Message msg;
+    msg.type = type;
+    msg.task_id = task_id;
+    msg.sender = config_.fleet[node].name;
+    return cores[assignment ? node : 0].on_message(std::move(msg), now);
   };
 
   std::priority_queue<Event, std::vector<Event>, Later> queue;
@@ -133,15 +139,24 @@ ClusterReport ClusterSimulator::run_with_assignment(
     report.nodes[i].name = config_.fleet[i].name;
   }
 
-  std::uint64_t merged = 0;
+  // Each event is one message stepped through the core at the virtual
+  // time the serial server gets to it.
   while (!queue.empty()) {
     const Event ev = queue.top();
     queue.pop();
 
     if (ev.kind == Kind::kRequest) {
-      const auto chunk = take_chunk(ev.node);
-      if (!chunk) continue;  // node idles out; all its work is done
       const double assign_start = std::max(ev.time, server_free);
+      const dist::ServerStep lease =
+          step(ev.node, dist::MessageType::kRequestWork, 0, assign_start);
+      // NoWork or Shutdown: the node idles out. (Retrying a NoWork on
+      // virtual time is not modelled; without failures a leased task
+      // never comes back.)
+      if (lease.reply->message.type != dist::MessageType::kAssignTask) {
+        continue;
+      }
+      const std::uint64_t task_id = lease.reply->message.task_id;
+      const std::uint64_t photons = chunks[task_id];
       server_free = assign_start + config_.cost.assign_cost_s;
       report.server_busy_s += config_.cost.assign_cost_s;
 
@@ -150,7 +165,7 @@ ClusterReport ClusterSimulator::run_with_assignment(
       const double availability = rng.uniform(config_.load.min_availability,
                                               config_.load.max_availability);
       const double compute_s =
-          static_cast<double>(*chunk) * config_.cost.flops_per_photon /
+          static_cast<double>(photons) * config_.cost.flops_per_photon /
           (config_.fleet[ev.node].mflops * 1.0e6 * availability);
       const double result_at_server =
           node_start + compute_s +
@@ -158,23 +173,27 @@ ClusterReport ClusterSimulator::run_with_assignment(
 
       NodeReport& nr = report.nodes[ev.node];
       ++nr.tasks_completed;
-      nr.photons_computed += *chunk;
+      nr.photons_computed += photons;
       nr.busy_s += compute_s;
 
       queue.push(Event{result_at_server, seq++, ev.node, Kind::kResult,
-                       *chunk});
+                       task_id});
     } else {
       const double merge_start = std::max(ev.time, server_free);
+      if (step(ev.node, dist::MessageType::kTaskResult, ev.task_id,
+               merge_start)
+              .accepted_task) {
+        ++report.tasks;
+      }
       server_free = merge_start + config_.cost.merge_cost_s;
       report.server_busy_s += config_.cost.merge_cost_s;
-      ++merged;
       report.makespan_s = server_free;
-      // The client's next work request rides along with its result.
+      // A modelling choice of this driver, not of the core: the client's
+      // next work request rides along with its result (the real protocol
+      // sends a separate RequestWork frame).
       queue.push(Event{ev.time, seq++, ev.node, Kind::kRequest, 0});
     }
   }
-
-  report.tasks = merged;
   return report;
 }
 

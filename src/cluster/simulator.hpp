@@ -10,7 +10,19 @@
 //   * network latency and bandwidth for task/result transfer,
 //   * the server's serial cost to assign a task and merge a result (the
 //     1/efficiency term that keeps speedup below linear),
-// driven by the same self-scheduling protocol the real runtime uses.
+// driven by the same scheduling code the real runtime uses: the
+// simulator is a virtual-clock driver of dist::ServerCore, the core that
+// dist::run_server_loop drives over a Transport. Every lease and every
+// accepted result goes through the core and a dist::DataManager —
+// dynamic mode leases from one manager holding the chunk plan, static
+// mode from one manager per node holding that node's schedule in order —
+// while one serial server timeline charges the assign and merge costs.
+//
+// What the model leaves out, by choice of this driver:
+//   * leases never expire: nodes do not fail, so none is reclaimed;
+//   * a node's next work request rides along with its result (the real
+//     protocol sends a separate RequestWork frame);
+//   * a node answered NoWork idles out instead of retrying.
 //
 // The simulation is deterministic given its seed.
 #pragma once

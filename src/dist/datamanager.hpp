@@ -8,8 +8,11 @@
 // task back in the queue. Completion is exactly-once: the first result
 // for a task wins, late or duplicate copies are counted and discarded.
 // All operations are thread-safe. Time is passed in explicitly (seconds,
-// any monotonic origin) so tests and the discrete-event simulator can
-// drive the clock.
+// any monotonic origin), never read, so whoever steps the manager owns
+// the clock: dist::ServerCore passes on the time of each step, which is
+// the wall clock under dist::run_server_loop and virtual time under
+// cluster::ClusterSimulator (whose leases are infinite: an infinite
+// lease duration never expires).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +51,7 @@ using ResultSink =
 
 class DataManager {
  public:
-  /// `lease_duration_s` must be > 0.
+  /// `lease_duration_s` must be > 0; infinity means leases never expire.
   explicit DataManager(double lease_duration_s);
 
   /// Register a new task. Duplicate ids (including completed ones) throw.

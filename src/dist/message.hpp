@@ -28,6 +28,10 @@ enum class MessageType : std::uint8_t {
 
 std::string to_string(MessageType type);
 
+/// The server's well-known mailbox name: workers address every frame to
+/// it, and the server signs its replies with it.
+inline constexpr char kServerEndpoint[] = "server";
+
 /// One framed protocol message.
 struct Message {
   MessageType type = MessageType::kRequestWork;

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "dist/server_core.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
@@ -31,6 +32,14 @@ std::vector<obs::Counter*> message_counters(const std::string& name) {
   return counters;
 }
 
+/// Server receive timeout; also bounds the lease-expiry poll interval.
+constexpr std::int64_t kPollTimeoutMs = 5;
+/// How long a worker waits for a reply before requesting again: short,
+/// so lost frames are retried well inside even sub-second leases.
+constexpr std::int64_t kReplyTimeoutMs = 20;
+/// A worker's pause after a NoWork reply (pool momentarily empty).
+constexpr std::int64_t kNoWorkBackoffMs = 2;
+
 /// The endpoint name of task slot `slot` of a worker named `name`.
 std::string slot_name(const std::string& name, std::size_t slot) {
   return slot == 0 ? name : name + "." + std::to_string(slot);
@@ -39,13 +48,6 @@ std::string slot_name(const std::string& name, std::size_t slot) {
 }  // namespace
 
 void ServerLoopOptions::validate() const {
-  if (endpoint.empty()) {
-    throw std::invalid_argument("ServerLoopOptions: endpoint must be named");
-  }
-  if (poll_timeout_ms <= 0) {
-    throw std::invalid_argument(
-        "ServerLoopOptions: poll_timeout_ms must be > 0");
-  }
   if (!checkpoint_path.empty() && checkpoint_every == 0) {
     throw std::invalid_argument(
         "ServerLoopOptions: checkpoint_every must be > 0");
@@ -57,12 +59,8 @@ void ServerLoopOptions::validate() const {
 }
 
 void WorkerLoopOptions::validate() const {
-  if (name.empty() || server_endpoint.empty()) {
-    throw std::invalid_argument(
-        "WorkerLoopOptions: endpoints must be named");
-  }
-  if (reply_timeout_ms <= 0 || no_work_backoff_ms < 0) {
-    throw std::invalid_argument("WorkerLoopOptions: bad timeouts");
+  if (name.empty()) {
+    throw std::invalid_argument("WorkerLoopOptions: name must be set");
   }
   if (death_probability < 0.0 || death_probability >= 1.0) {
     throw std::invalid_argument(
@@ -74,6 +72,9 @@ void run_server_loop(Transport& transport, DataManager& manager,
                      const ServerLoopOptions& options) {
   options.validate();
   util::Stopwatch clock;
+  ServerCore core(manager, options.checkpoint_path.empty()
+                               ? 0
+                               : options.checkpoint_every);
   // Observability handles (all out-of-band of the protocol): messages by
   // wire type, scheduling events, and per-task spans measured against the
   // trace recorder's epoch.
@@ -93,10 +94,6 @@ void run_server_loop(Transport& transport, DataManager& manager,
   std::map<std::uint64_t, double> task_trace_start_s;
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
 
-  // Every name that ever asked for work, so the final Shutdown reaches
-  // even workers that only joined for one pull.
-  std::set<std::string> seen_workers;
-  std::uint64_t completions_since_checkpoint = 0;
   const auto write_checkpoint = [&] {
     manager.checkpoint_to_file(
         options.checkpoint_path,
@@ -104,17 +101,58 @@ void run_server_loop(Transport& transport, DataManager& manager,
                                  : std::vector<std::uint8_t>{});
     checkpoint_writes.inc();
   };
-  const auto handle_snapshot = [&](const Message& msg) {
-    snapshots_received.inc();
-    if (options.metrics_snapshot_sink) {
-      options.metrics_snapshot_sink(msg.sender, msg.payload);
+  // One received frame through the core: count it, carry out the step's
+  // effects, then send its reply.
+  const auto handle = [&](Message msg, double now) {
+    msg_counters[static_cast<std::uint8_t>(msg.type)]->inc();
+    const std::string sender = msg.sender;
+    ServerStep step = core.on_message(std::move(msg), now);
+    if (step.reply && step.reply->message.type == MessageType::kAssignTask) {
+      const std::uint64_t task_id = step.reply->message.task_id;
+      leases_issued.inc();
+      if (!ever_leased.insert(task_id).second) releases.inc();
+      if (recorder.enabled()) {
+        task_trace_start_s[task_id] = recorder.elapsed_s();
+      }
     }
+    if (step.accepted_task) {
+      const std::uint64_t task_id = *step.accepted_task;
+      completions.inc();
+      if (recorder.enabled()) {
+        // Server-side span of the task's last lease: from the assign
+        // that won to the first accepted result.
+        const auto it = task_trace_start_s.find(task_id);
+        if (it != task_trace_start_s.end()) {
+          obs::TraceEvent event;
+          event.name = "task";
+          event.category = "dist";
+          event.ts_us = static_cast<std::uint64_t>(it->second * 1e6);
+          const double dur_s = recorder.elapsed_s() - it->second;
+          event.dur_us =
+              dur_s > 0.0 ? static_cast<std::uint64_t>(dur_s * 1e6) : 0;
+          event.tid = obs::TraceRecorder::thread_id();
+          event.args.emplace_back("task_id", std::to_string(task_id));
+          event.args.emplace_back("worker", sender);
+          recorder.record(std::move(event));
+        }
+      }
+      task_trace_start_s.erase(task_id);
+    }
+    if (step.checkpoint_due) write_checkpoint();
+    if (step.metrics_snapshot) {
+      snapshots_received.inc();
+      if (options.metrics_snapshot_sink) {
+        options.metrics_snapshot_sink(step.metrics_snapshot->sender,
+                                      step.metrics_snapshot->payload);
+      }
+    }
+    if (step.reply) transport.send(step.reply->to, step.reply->message);
   };
 
-  while (!manager.all_done()) {
-    auto msg = transport.receive(options.endpoint, options.poll_timeout_ms);
+  while (!core.done()) {
+    auto msg = transport.receive(kServerEndpoint, kPollTimeoutMs);
     const double now = clock.seconds();
-    expirations.inc(manager.expire_leases(now));
+    expirations.inc(core.on_tick(now));
     if (!msg) {
       if (transport.closed()) {
         throw std::runtime_error(
@@ -122,68 +160,7 @@ void run_server_loop(Transport& transport, DataManager& manager,
       }
       continue;
     }
-    msg_counters[static_cast<std::uint8_t>(msg->type)]->inc();
-    switch (msg->type) {
-      case MessageType::kRequestWork: {
-        seen_workers.insert(msg->sender);
-        Message reply;
-        reply.sender = options.endpoint;
-        if (auto task = manager.lease_next(msg->sender, now)) {
-          reply.type = MessageType::kAssignTask;
-          reply.task_id = task->task_id;
-          reply.payload = std::move(task->payload);
-          leases_issued.inc();
-          if (!ever_leased.insert(task->task_id).second) releases.inc();
-          if (recorder.enabled()) {
-            task_trace_start_s[task->task_id] = recorder.elapsed_s();
-          }
-        } else {
-          reply.type = manager.all_done() ? MessageType::kShutdown
-                                          : MessageType::kNoWork;
-        }
-        transport.send(msg->sender, reply);
-        break;
-      }
-      case MessageType::kTaskResult: {
-        const std::uint64_t task_id = msg->task_id;
-        const std::string sender = msg->sender;
-        if (manager.complete(task_id, sender, now, std::move(msg->payload))) {
-          completions.inc();
-          if (recorder.enabled()) {
-            // Server-side span of the task's last lease: from the assign
-            // that won to the first accepted result.
-            const auto it = task_trace_start_s.find(task_id);
-            if (it != task_trace_start_s.end()) {
-              obs::TraceEvent event;
-              event.name = "task";
-              event.category = "dist";
-              event.ts_us = static_cast<std::uint64_t>(it->second * 1e6);
-              const double dur_s = recorder.elapsed_s() - it->second;
-              event.dur_us =
-                  dur_s > 0.0 ? static_cast<std::uint64_t>(dur_s * 1e6) : 0;
-              event.tid = obs::TraceRecorder::thread_id();
-              event.args.emplace_back("task_id", std::to_string(task_id));
-              event.args.emplace_back("worker", sender);
-              recorder.record(std::move(event));
-            }
-          }
-          task_trace_start_s.erase(task_id);
-          if (!options.checkpoint_path.empty() &&
-              ++completions_since_checkpoint >= options.checkpoint_every) {
-            write_checkpoint();
-            completions_since_checkpoint = 0;
-          }
-        }
-        break;
-      }
-      case MessageType::kMetricsSnapshot:
-        handle_snapshot(*msg);
-        break;
-      case MessageType::kAssignTask:
-      case MessageType::kNoWork:
-      case MessageType::kShutdown:
-        break;  // server->worker kinds echoed back to us; ignore
-    }
+    handle(std::move(*msg), now);
   }
 
   if (!options.checkpoint_path.empty()) {
@@ -193,43 +170,24 @@ void run_server_loop(Transport& transport, DataManager& manager,
   // Tell every worker we ever heard from to exit; whoever misses the
   // frame (drop, death, reconnect) gets a Shutdown reply to its next
   // RequestWork or sees the transport close.
-  for (const std::string& worker : seen_workers) {
-    Message shutdown_msg;
-    shutdown_msg.type = MessageType::kShutdown;
-    shutdown_msg.sender = options.endpoint;
-    transport.send(worker, shutdown_msg);
+  for (const Outgoing& shutdown_msg : core.shutdown_broadcast()) {
+    transport.send(shutdown_msg.to, shutdown_msg.message);
   }
 
   // Post-shutdown drain: workers that opted into send_metrics_snapshot
   // ship their registry on Shutdown receipt; give those frames a bounded
-  // window to land. Late RequestWork frames (a reconnecting worker that
-  // missed the broadcast) still get a Shutdown so they can exit.
+  // window to land. The core keeps answering: a late RequestWork (a
+  // reconnecting worker that missed the broadcast) gets a Shutdown so it
+  // can exit, and a late TaskResult is dropped.
   if (options.metrics_drain_ms > 0) {
     util::Stopwatch drain_clock;
     while (drain_clock.milliseconds() < options.metrics_drain_ms) {
-      auto msg = transport.receive(options.endpoint, options.poll_timeout_ms);
+      auto msg = transport.receive(kServerEndpoint, kPollTimeoutMs);
       if (!msg) {
         if (transport.closed()) break;
         continue;
       }
-      msg_counters[static_cast<std::uint8_t>(msg->type)]->inc();
-      switch (msg->type) {
-        case MessageType::kMetricsSnapshot:
-          handle_snapshot(*msg);
-          break;
-        case MessageType::kRequestWork: {
-          Message reply;
-          reply.type = MessageType::kShutdown;
-          reply.sender = options.endpoint;
-          transport.send(msg->sender, reply);
-          break;
-        }
-        case MessageType::kAssignTask:
-        case MessageType::kNoWork:
-        case MessageType::kShutdown:
-        case MessageType::kTaskResult:
-          break;  // too late to matter during the drain; ignore
-      }
+      handle(std::move(*msg), clock.seconds());
     }
   }
 }
@@ -259,8 +217,8 @@ WorkerLoopOutcome run_worker_loop(Transport& transport,
     Message request;
     request.type = MessageType::kRequestWork;
     request.sender = name;
-    transport.send(options.server_endpoint, request);
-    const auto reply = transport.receive(name, options.reply_timeout_ms);
+    transport.send(kServerEndpoint, request);
+    const auto reply = transport.receive(name, kReplyTimeoutMs);
     if (!reply) {
       reply_timeouts.inc();
       continue;  // lost frame, timeout, or transport shutdown
@@ -292,13 +250,13 @@ WorkerLoopOutcome run_worker_loop(Transport& transport,
         // a sibling slot may snapshot the registry on Shutdown.
         ++outcome.tasks_executed;
         tasks_executed.inc();
-        transport.send(options.server_endpoint, result);
+        transport.send(kServerEndpoint, result);
         break;
       }
       case MessageType::kNoWork:
         no_work.inc();
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(options.no_work_backoff_ms));
+            std::chrono::milliseconds(kNoWorkBackoffMs));
         break;
       case MessageType::kShutdown:
         outcome.saw_shutdown = true;
@@ -362,7 +320,7 @@ WorkerLoopOutcome run_worker_slots(std::size_t slots,
         metrics_msg.type = MessageType::kMetricsSnapshot;
         metrics_msg.sender = outcomes[slot].final_name;
         metrics_msg.payload = snapshot.encode();
-        transports[slot]->send(options.server_endpoint, metrics_msg);
+        transports[slot]->send(kServerEndpoint, metrics_msg);
       }
     } catch (...) {
       errors[slot] = std::current_exception();

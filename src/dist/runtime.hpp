@@ -1,7 +1,8 @@
 // The distributed runtime: the RequestWork/AssignTask/TaskResult
 // protocol, factored into a server loop and a worker loop that run over
 // any Transport — the in-process loopback or real sockets. The server
-// side is core::PlanServer, which runs run_server_loop; the worker side
+// side is core::PlanServer, which runs run_server_loop: the real-time
+// driver of dist::ServerCore, which decides every reply. The worker side
 // is run_worker_slots, one run_worker_loop per task slot, each over its
 // own transport (a net::Client in phodis_worker, a handle on the shared
 // loopback in MonteCarloApp::run_distributed).
@@ -32,10 +33,6 @@ using TaskExecutor = std::function<std::vector<std::uint8_t>(
     std::uint64_t, const std::vector<std::uint8_t>&)>;
 
 struct ServerLoopOptions {
-  /// The server's well-known mailbox name.
-  std::string endpoint = "server";
-  /// Receive timeout, which also bounds the lease-expiry poll interval.
-  std::int64_t poll_timeout_ms = 5;
   /// Persist the DataManager (tasks, completion bits, results) here so a
   /// restarted server resumes instead of recomputing. Empty = off.
   std::string checkpoint_path;
@@ -64,22 +61,18 @@ struct ServerLoopOptions {
 };
 
 /// Drive `manager`'s tasks to completion over `transport` on the calling
-/// thread: lease tasks to whoever asks, accept first results, requeue
-/// expired leases. Before returning, every endpoint that ever requested
-/// work is sent a Shutdown frame. Results land in the manager
-/// (DataManager::results()).
+/// thread: receive on dist::kServerEndpoint (5 ms timeout, which also
+/// bounds the lease-expiry poll interval), step a ServerCore with each
+/// frame on the wall clock and send its replies — lease tasks to whoever
+/// asks, accept first results, requeue expired leases. Before returning,
+/// every endpoint that ever requested work is sent a Shutdown frame.
+/// Results land in the manager (DataManager::results()).
 void run_server_loop(Transport& transport, DataManager& manager,
                      const ServerLoopOptions& options = {});
 
 struct WorkerLoopOptions {
   /// This worker's endpoint name (the sender field of its frames).
   std::string name = "worker";
-  std::string server_endpoint = "server";
-  /// Wait for a server reply; short so lost frames are retried well
-  /// inside even sub-second lease durations.
-  std::int64_t reply_timeout_ms = 20;
-  /// Pause after a NoWork reply (pool momentarily empty).
-  std::int64_t no_work_backoff_ms = 2;
   /// Per-assignment probability that the worker "dies" instead of
   /// executing, in [0, 1): it abandons the lease and rejoins under a
   /// fresh name, exactly like a real client crashing and rebooting.
@@ -104,7 +97,10 @@ struct WorkerLoopOutcome {
 };
 
 /// Pull and execute tasks over `transport` until a Shutdown frame
-/// arrives, the transport closes, or keep_running() turns false.
+/// arrives, the transport closes, or keep_running() turns false. Each
+/// request to dist::kServerEndpoint waits 20 ms for its reply before it
+/// is sent again, so lost frames are retried well inside even sub-second
+/// leases; a NoWork reply (pool momentarily empty) pauses the loop 2 ms.
 WorkerLoopOutcome run_worker_loop(Transport& transport,
                                   const TaskExecutor& executor,
                                   const WorkerLoopOptions& options);

@@ -53,9 +53,8 @@ obs::Histogram& shutdown_seconds() {
 }
 }  // namespace
 
-Server::Server(const Address& address, const dist::FaultSpec& faults,
-               std::string endpoint)
-    : endpoint_(std::move(endpoint)), drops_(faults) {
+Server::Server(const Address& address, const dist::FaultSpec& faults)
+    : drops_(faults) {
   listener_ = Listener::listen(address);
   address_ = listener_.local_address();
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -121,7 +120,7 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
       std::lock_guard<std::mutex> lock(mutex_);
       routes_[msg.sender] = connection;
     }
-    inbox_.deliver(endpoint_, std::move(msg));
+    inbox_.deliver(dist::kServerEndpoint, std::move(msg));
   }
   std::lock_guard<std::mutex> lock(mutex_);
   connection->dead = true;

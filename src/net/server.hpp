@@ -29,11 +29,10 @@ namespace phodis::net {
 
 class Server final : public dist::Transport {
  public:
-  /// Bind `address` and start accepting. `endpoint` is the name the
-  /// server loop receives on (the protocol's well-known server mailbox).
+  /// Bind `address` and start accepting. Every inbound frame is
+  /// delivered to the protocol's well-known dist::kServerEndpoint mailbox.
   explicit Server(const Address& address,
-                  const dist::FaultSpec& faults = {},
-                  std::string endpoint = "server");
+                  const dist::FaultSpec& faults = {});
   ~Server() override;
 
   /// The bound address (ephemeral TCP ports resolved).
@@ -68,7 +67,6 @@ class Server final : public dist::Transport {
   Address address_;
   Listener listener_;
   Mailbox inbox_;
-  std::string endpoint_;
 
   mutable std::mutex mutex_;  // guards connections_, routes_, counters, drops_
   std::vector<std::shared_ptr<Connection>> connections_;

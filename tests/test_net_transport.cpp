@@ -562,7 +562,6 @@ TEST(WorkerSlots, ShutdownOnOneSlotStopsTheOthers) {
   std::thread worker_thread([&] {
     dist::WorkerLoopOptions options;
     options.name = "split";
-    options.reply_timeout_ms = 20;
     outcome = dist::run_worker_slots(3, factory, doubler, options);
     worker_returned = Clock::now();
   });
