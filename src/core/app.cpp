@@ -2,8 +2,6 @@
 
 #include <exception>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -15,26 +13,6 @@
 #include "util/stopwatch.hpp"
 
 namespace phodis::core {
-
-namespace {
-
-/// FNV-1a over every task's id and payload: a checkpoint's plan
-/// identity, covering everything a task carries (spec, photons, seed).
-std::uint64_t task_list_hash(const std::vector<dist::TaskRecord>& tasks) {
-  util::ByteWriter writer;
-  writer.u64(tasks.size());
-  for (const dist::TaskRecord& task : tasks) {
-    writer.u64(task.task_id);
-    writer.blob(task.payload);
-  }
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : writer.bytes()) {
-    hash = (hash ^ byte) * 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> Algorithm::execute(
     std::uint64_t task_id, const std::vector<std::uint8_t>& payload) {
@@ -208,26 +186,19 @@ PlanServer::PlanServer(const MonteCarloApp& app, std::uint64_t chunk_photons,
         merger_.fold(task_id, std::move(bytes));
       });
 
-  const std::string meta_path = checkpoint_path_ + ".meta";
-  const std::string fingerprint =
-      std::to_string(task_list_hash(tasks)) + "\n";
   if (!checkpoint_path_.empty() && std::filesystem::exists(checkpoint_path_)) {
-    std::ifstream in(meta_path);
-    const std::string recorded((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    if (recorded != fingerprint) {
+    const std::vector<std::uint8_t> merger_state =
+        manager_.restore_from_file(checkpoint_path_);
+    // The checkpoint holds every task's id and payload (spec, photons,
+    // seed): it resumes only the plan that wrote it.
+    if (manager_.tasks() != tasks) {
       throw std::runtime_error(checkpoint_path_ +
-                               " was written for a different task plan (see " +
-                               meta_path + "); refusing to resume");
+                               " was written for a different task plan; "
+                               "refusing to resume");
     }
-    merger_.restore(manager_.restore_from_file(checkpoint_path_));
+    merger_.restore(merger_state);
     resumed_ = true;
     return;
-  }
-  if (!checkpoint_path_.empty()) {
-    std::ofstream out(meta_path, std::ios::trunc);
-    out << fingerprint;
-    if (!out) throw std::runtime_error("cannot write " + meta_path);
   }
   for (const dist::TaskRecord& task : tasks) {
     manager_.add_task(task.task_id, task.payload);

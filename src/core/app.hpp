@@ -135,10 +135,9 @@ class PlanServer {
  public:
   /// Builds `app`'s tasks at `chunk_photons` (0 = auto for one worker,
   /// as run_serial), leased for `lease_s`. With a `checkpoint_path`: if
-  /// that file exists the run resumes from it, provided the sidecar
-  /// `<checkpoint_path>.meta` holds the 64-bit hash of these encoded
-  /// tasks (else std::runtime_error: it is another plan's checkpoint);
-  /// otherwise the hash is written there for a later resume.
+  /// that file exists the run resumes from it, provided its task table
+  /// equals these tasks, id for id and payload for payload (else
+  /// std::runtime_error: it is another plan's checkpoint).
   PlanServer(const MonteCarloApp& app, std::uint64_t chunk_photons,
              double lease_s, std::string checkpoint_path = {});
 

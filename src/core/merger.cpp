@@ -1,6 +1,7 @@
 #include "core/merger.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "mc/kernel.hpp"
@@ -76,11 +77,26 @@ void IncrementalTallyMerger::restore(const std::vector<std::uint8_t>& bytes) {
     throw std::length_error(
         "IncrementalTallyMerger: trailing bytes in state");
   }
+  // A buffered id at or below the frontier would never be drained, so
+  // the frontier would stall short of the plan.
+  if (!buffer.empty() && buffer.begin()->first <= next_id) {
+    throw std::invalid_argument(
+        "IncrementalTallyMerger: buffered task " +
+        std::to_string(buffer.begin()->first) + " is not above frontier " +
+        std::to_string(next_id));
+  }
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (next_id_ != 0 || !buffer_.empty()) {
     throw std::logic_error(
         "IncrementalTallyMerger: restore target already holds results");
+  }
+  // merged_ is still the spec's empty tally: a state of another shape
+  // would make every later fold throw.
+  if (merged.config() != merged_.config()) {
+    throw std::invalid_argument(
+        "IncrementalTallyMerger: state's tally config differs from the "
+        "spec's");
   }
   merged_ = std::move(merged);
   next_id_ = next_id;

@@ -1,12 +1,11 @@
 // IncrementalTallyMerger — server-side result streaming.
 //
-// The DataManager used to retain every task's serialised tally until the
-// run ended; for a 1e9-photon run with voxel grids that is gigabytes of
-// result bytes held only so they can be merged in task-id order at the
-// end. This merger folds results as they arrive instead, while keeping
-// the repo's bitwise-reproducibility invariant: tallies are only ever
-// merged in task-id order, so a result arriving ahead of its turn waits
-// in a small reorder buffer until the contiguous prefix reaches it.
+// Folds each task's serialised tally as it arrives, so the server never
+// holds every result (for a 1e9-photon run with voxel grids that would
+// be gigabytes), while keeping the repo's bitwise-reproducibility
+// invariant: tallies are only ever merged in task-id order, so a result
+// arriving ahead of its turn waits in a small reorder buffer until the
+// contiguous prefix reaches it.
 // Memory is bounded by the out-of-order window (at most the number of
 // in-flight leases, not the number of completed tasks).
 //
@@ -49,7 +48,9 @@ class IncrementalTallyMerger {
   std::vector<std::uint8_t> state_bytes() const;
 
   /// Rebuild from state_bytes(). Only valid before any fold; malformed
-  /// input throws. An empty blob is a no-op (fresh run).
+  /// input throws, as does a state whose tally config differs from the
+  /// spec's or whose buffered ids are not all above its frontier. An
+  /// empty blob is a no-op (fresh run).
   void restore(const std::vector<std::uint8_t>& bytes);
 
  private:

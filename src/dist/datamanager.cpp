@@ -11,9 +11,10 @@ namespace phodis::dist {
 namespace {
 /// File header of checkpoint_to_file: 8 magic bytes + a format version.
 /// Version 2 added the sink-state blob between the header and the task
-/// table (streaming-merge mode); v1 files are refused.
+/// table; version 3 dropped the per-task result blob. Files of any other
+/// version are refused.
 constexpr char kCheckpointMagic[8] = {'P', 'H', 'O', 'D', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 }  // namespace
 
 DataManager::DataManager(double lease_duration_s)
@@ -27,7 +28,7 @@ void DataManager::add_task(std::uint64_t task_id,
                            std::vector<std::uint8_t> payload) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = tasks_.emplace(
-      task_id, Task{std::move(payload), State::kPending, {}, 0.0, {}});
+      task_id, Task{std::move(payload), State::kPending, 0.0});
   if (!inserted) {
     throw std::invalid_argument("DataManager: duplicate task id " +
                                 std::to_string(task_id));
@@ -37,8 +38,8 @@ void DataManager::add_task(std::uint64_t task_id,
   ++stats_.tasks_added;
 }
 
-std::optional<TaskRecord> DataManager::lease_next(const std::string& worker,
-                                                  double now) {
+std::optional<TaskRecord> DataManager::lease_next(
+    const std::string& /*worker*/, double now) {
   std::lock_guard<std::mutex> lock(mutex_);
   while (!queue_.empty()) {
     const std::uint64_t id = queue_.front();
@@ -46,7 +47,6 @@ std::optional<TaskRecord> DataManager::lease_next(const std::string& worker,
     Task& task = tasks_.at(id);
     if (task.state != State::kPending) continue;  // stale queue entry
     task.state = State::kInFlight;
-    task.worker = worker;
     task.lease_deadline = now + lease_duration_s_;
     --pending_;
     ++in_flight_;
@@ -81,14 +81,12 @@ bool DataManager::complete(std::uint64_t task_id,
         break;
     }
     task.state = State::kCompleted;
-    task.worker.clear();
-    if (!result_sink_) task.result = std::move(result);
     ++completed_;
     ++stats_.completions;
   }
-  // First acceptance only (duplicates returned above): stream the bytes
-  // out instead of retaining them. Outside the lock so the sink may use
-  // the manager (e.g. checkpoint) without deadlocking.
+  // First acceptance only (duplicates returned above). Outside the lock
+  // so the sink may use the manager (e.g. checkpoint) without
+  // deadlocking.
   if (result_sink_) result_sink_(task_id, std::move(result));
   return true;
 }
@@ -102,14 +100,11 @@ void DataManager::set_result_sink(ResultSink sink) {
   result_sink_ = std::move(sink);
 }
 
-std::map<std::uint64_t, std::vector<std::uint8_t>> DataManager::results()
-    const {
+std::vector<TaskRecord> DataManager::tasks() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::uint64_t, std::vector<std::uint8_t>> out;
-  if (result_sink_) return out;  // streamed to the sink, not retained
-  for (const auto& [id, task] : tasks_) {
-    if (task.state == State::kCompleted) out.emplace(id, task.result);
-  }
+  std::vector<TaskRecord> out;
+  out.reserve(tasks_.size());
+  for (const auto& [id, task] : tasks_) out.push_back({id, task.payload});
   return out;
 }
 
@@ -119,27 +114,10 @@ std::size_t DataManager::expire_leases(double now) {
   for (auto& [id, task] : tasks_) {
     if (task.state == State::kInFlight && now >= task.lease_deadline) {
       task.state = State::kPending;
-      task.worker.clear();
       queue_.push_back(id);
       --in_flight_;
       ++pending_;
       ++stats_.lease_expirations;
-      ++reclaimed;
-    }
-  }
-  return reclaimed;
-}
-
-std::size_t DataManager::evict_worker(const std::string& worker) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t reclaimed = 0;
-  for (auto& [id, task] : tasks_) {
-    if (task.state == State::kInFlight && task.worker == worker) {
-      task.state = State::kPending;
-      task.worker.clear();
-      queue_.push_back(id);
-      --in_flight_;
-      ++pending_;
       ++reclaimed;
     }
   }
@@ -178,7 +156,6 @@ void DataManager::checkpoint(util::ByteWriter& writer) const {
     writer.u64(id);
     writer.boolean(task.state == State::kCompleted);
     writer.blob(task.payload);
-    writer.blob(task.result);
   }
 }
 
@@ -194,7 +171,6 @@ void DataManager::restore(util::ByteReader& reader) {
     Task task;
     task.state = reader.boolean() ? State::kCompleted : State::kPending;
     task.payload = reader.blob();
-    task.result = reader.blob();
     const bool completed = task.state == State::kCompleted;
     if (!staged.emplace(id, std::move(task)).second) {
       throw std::invalid_argument(

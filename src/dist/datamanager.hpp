@@ -6,7 +6,9 @@
 // Tasks are leased to workers FIFO with a deadline; a lease that expires
 // (worker too slow, dead, or its assignment lost on the wire) puts the
 // task back in the queue. Completion is exactly-once: the first result
-// for a task wins, late or duplicate copies are counted and discarded.
+// for a task wins and goes to the result sink, if one is set; late or
+// duplicate copies are counted and discarded. The manager keeps no
+// result bytes itself.
 // All operations are thread-safe. Time is passed in explicitly (seconds,
 // any monotonic origin), never read, so whoever steps the manager owns
 // the clock: dist::ServerCore passes on the time of each step, which is
@@ -32,6 +34,8 @@ namespace phodis::dist {
 struct TaskRecord {
   std::uint64_t task_id = 0;
   std::vector<std::uint8_t> payload;
+
+  bool operator==(const TaskRecord&) const = default;
 };
 
 struct DataManagerStats {
@@ -63,32 +67,26 @@ class DataManager {
   /// Accept a result. Returns true exactly once per task — for the first
   /// result, from whichever worker delivers it (even one whose lease has
   /// since expired). Duplicates and unknown ids return false. The
-  /// first-accepted `result` bytes are retained (the paper's DataManager
-  /// "processes the returned results"); late copies are discarded.
+  /// first-accepted `result` bytes go to the result sink (the paper's
+  /// DataManager "processes the returned results"), or are dropped when
+  /// none is set; late copies are discarded.
   bool complete(std::uint64_t task_id, const std::string& worker, double now,
                 std::vector<std::uint8_t> result = {});
 
-  /// Stream results instead of retaining them: every first-accepted
-  /// result is handed to `sink` and its bytes are no longer stored, so
-  /// server memory stays bounded however many tasks complete (the
-  /// ROADMAP's 1e9-photon concern). Must be set before any completion;
-  /// exactly-once semantics are unchanged (duplicates never reach the
-  /// sink). results() returns an empty map in this mode — the sink owner
-  /// holds the reduced state and persists it via the checkpoint
-  /// `sink_state` parameter.
+  /// Hand every first-accepted result to `sink`; the manager stores no
+  /// result bytes, so server memory stays bounded however many tasks
+  /// complete (the ROADMAP's 1e9-photon concern). Must be set before any
+  /// completion (a restored checkpoint's included). Duplicates never
+  /// reach the sink. The sink owner holds the reduced state and persists
+  /// it via the checkpoint `sink_state` parameter.
   void set_result_sink(ResultSink sink);
 
-  /// First-accepted result bytes of every completed task, keyed by id
-  /// (empty when a result sink is streaming them instead).
-  std::map<std::uint64_t, std::vector<std::uint8_t>> results() const;
+  /// Every registered task (completed or not), in task-id order.
+  std::vector<TaskRecord> tasks() const;
 
   /// Requeue every lease whose deadline has been reached. Returns how
   /// many were reclaimed.
   std::size_t expire_leases(double now);
-
-  /// Requeue every task currently leased to `worker` (worker declared
-  /// dead). Returns how many leases were reclaimed.
-  std::size_t evict_worker(const std::string& worker);
 
   std::size_t pending_count() const;
   std::size_t in_flight_count() const;
@@ -99,10 +97,9 @@ class DataManager {
 
   DataManagerStats stats() const;
 
-  /// Serialise the pool: every task's payload, its completion bit, and
-  /// (for completed tasks) its result bytes. In-flight leases are not
-  /// persisted — on restore they are pending again (the restore-side
-  /// server re-issues them).
+  /// Serialise the pool: every task's id, completion bit and payload.
+  /// In-flight leases are not persisted — on restore they are pending
+  /// again (the restore-side server re-issues them).
   void checkpoint(util::ByteWriter& writer) const;
 
   /// Rebuild the pool from a checkpoint. Only valid on a manager that
@@ -114,7 +111,7 @@ class DataManager {
   /// `path`.tmp and renamed over `path`, so a crash mid-write leaves
   /// either the previous checkpoint or the new one, never a torn file.
   /// `sink_state` is an opaque blob stored alongside the pool (the
-  /// result sink's reduced state in streaming mode; empty otherwise).
+  /// result sink's reduced state; empty by default).
   /// Throws std::runtime_error on I/O failure.
   void checkpoint_to_file(const std::string& path,
                           const std::vector<std::uint8_t>& sink_state = {})
@@ -123,7 +120,7 @@ class DataManager {
   /// Restore from a file written by checkpoint_to_file and return the
   /// sink-state blob it carried (empty when none). Same preconditions
   /// as restore(); additionally validates the file's magic and format
-  /// version.
+  /// version (files of another version are refused).
   std::vector<std::uint8_t> restore_from_file(const std::string& path);
 
  private:
@@ -132,14 +129,12 @@ class DataManager {
   struct Task {
     std::vector<std::uint8_t> payload;
     State state = State::kPending;
-    std::string worker;                ///< lease holder when in flight
-    double lease_deadline = 0.0;       ///< when in flight
-    std::vector<std::uint8_t> result;  ///< when completed
+    double lease_deadline = 0.0;  ///< when in flight
   };
 
   mutable std::mutex mutex_;
   double lease_duration_s_;
-  ResultSink result_sink_;  ///< when set, results stream instead of persist
+  ResultSink result_sink_;  ///< receives first-accepted results, if set
   std::map<std::uint64_t, Task> tasks_;
   /// FIFO of candidate ids; may hold stale entries for tasks that left
   /// the pending state (lease_next skips those lazily).

@@ -66,7 +66,7 @@ struct ServerLoopOptions {
 /// frame on the wall clock and send its replies — lease tasks to whoever
 /// asks, accept first results, requeue expired leases. Before returning,
 /// every endpoint that ever requested work is sent a Shutdown frame.
-/// Results land in the manager (DataManager::results()).
+/// Each first-accepted result goes to the manager's result sink.
 void run_server_loop(Transport& transport, DataManager& manager,
                      const ServerLoopOptions& options = {});
 

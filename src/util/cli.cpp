@@ -1,7 +1,9 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace phodis::util {
 
@@ -44,6 +46,22 @@ std::int64_t CliArgs::get_int(const std::string& key,
   } catch (const std::exception&) {
     return fallback;
   }
+}
+
+std::uint64_t CliArgs::get_count(const std::string& key,
+                                 std::uint64_t fallback) const {
+  auto it = options_.find(key);
+  if (it == options_.end()) return fallback;
+  const std::string& text = it->second;
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    throw std::invalid_argument("--" + key +
+                                " takes a non-negative integer, not \"" +
+                                text + "\"");
+  }
+  return value;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {

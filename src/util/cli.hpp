@@ -16,6 +16,11 @@ class CliArgs {
   /// Value of --key, or fallback when absent.
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// Value of --key as a count (a non-negative integer), or fallback when
+  /// absent. Throws std::invalid_argument naming the flag when the value
+  /// is negative, not a number, only partly one ("2e5") or out of range.
+  std::uint64_t get_count(const std::string& key,
+                          std::uint64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// True when --key appears (with no value or any value other than
   /// "false"/"0"/"no").

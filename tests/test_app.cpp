@@ -15,6 +15,7 @@
 #include "core/app.hpp"
 #include "core/merger.hpp"
 #include "mc/presets.hpp"
+#include "util/bytes.hpp"
 
 namespace phodis::core {
 namespace {
@@ -240,6 +241,45 @@ TEST(IncrementalTallyMerger, RestoreRequiresFreshMerger) {
   EXPECT_THROW(merger.restore(merger.state_bytes()), std::logic_error);
 }
 
+TEST(IncrementalTallyMerger, RestoreRejectsAStateOfAnotherTallyConfig) {
+  SimulationSpec gridded = small_spec(1000);
+  gridded.kernel.tally.enable_fluence_grid = true;
+  gridded.kernel.tally.fluence_spec = mc::GridSpec::cube(10, 10.0, 10.0);
+  const IncrementalTallyMerger other(gridded);
+
+  const SimulationSpec spec = small_spec(1000);
+  const auto tasks = MonteCarloApp(spec).build_tasks(500, 1);
+  IncrementalTallyMerger merger(spec);
+  EXPECT_THROW(merger.restore(other.state_bytes()), std::invalid_argument);
+  // Refused before any change: the merger still folds this spec's tasks.
+  merger.fold(0, Algorithm::execute(0, tasks[0].payload));
+  EXPECT_EQ(merger.frontier(), 1u);
+}
+
+TEST(IncrementalTallyMerger, RestoreRejectsABufferedIdNotAboveTheFrontier) {
+  const SimulationSpec spec = small_spec(1000);
+  const auto state_with_buffered = [&spec](std::uint64_t buffered_id) {
+    util::ByteWriter writer;
+    writer.u64(2);  // frontier
+    IncrementalTallyMerger(spec).merged().serialize(writer);
+    writer.u64(1);
+    writer.u64(buffered_id);
+    writer.blob({});
+    return writer.take();
+  };
+  for (std::uint64_t id : {1u, 2u}) {
+    IncrementalTallyMerger merger(spec);
+    EXPECT_THROW(merger.restore(state_with_buffered(id)),
+                 std::invalid_argument)
+        << "buffered id " << id;
+    EXPECT_EQ(merger.frontier(), 0u);
+  }
+  IncrementalTallyMerger merger(spec);
+  merger.restore(state_with_buffered(3));
+  EXPECT_EQ(merger.frontier(), 2u);
+  EXPECT_EQ(merger.buffered_count(), 1u);
+}
+
 TEST(App, GridsSurviveDistributionAndMerge) {
   SimulationSpec spec = small_spec(2000);
   spec.kernel.tally.enable_fluence_grid = true;
@@ -290,16 +330,14 @@ PlanResult serve(PlanServer& server, const dist::TaskExecutor& executor,
   return std::move(*result);
 }
 
-/// A checkpoint path in the temp dir with no file, sidecar or temp file
-/// left from an earlier run.
+/// A checkpoint path in the temp dir with no file or temp file left from
+/// an earlier run.
 std::string fresh_checkpoint_path(const std::string& name) {
   const std::string path =
       (fs::temp_directory_path() /
        ("phodis_plan_" + name + "_" + std::to_string(::getpid()) + ".ckpt"))
           .string();
-  for (const char* suffix : {"", ".meta", ".tmp"}) {
-    fs::remove_all(path + suffix);
-  }
+  for (const char* suffix : {"", ".tmp"}) fs::remove_all(path + suffix);
   return path;
 }
 
@@ -329,7 +367,7 @@ TEST(PlanServer, ResumesAKilledRunFromItsCheckpoint) {
   EXPECT_EQ(second.completed_count(), 2u);
   const PlanResult result = serve(second, &Algorithm::execute);
   EXPECT_EQ(result.tally.to_bytes(), app.run_serial(500).to_bytes());
-  for (const char* suffix : {"", ".meta"}) fs::remove(path + suffix);
+  fs::remove(path);
 }
 
 TEST(PlanServer, RefusesTheCheckpointOfAnotherPlan) {
@@ -349,12 +387,12 @@ TEST(PlanServer, RefusesTheCheckpointOfAnotherPlan) {
   const PlanServer same(app, 500, 30.0, path);
   EXPECT_TRUE(same.resumed());
   EXPECT_EQ(same.completed_count(), same.task_count());
-  for (const char* suffix : {"", ".meta"}) fs::remove(path + suffix);
+  fs::remove(path);
 }
 
 TEST(PlanServer, SurfacesACheckpointWriteFailureFromRun) {
   // A checkpoint is written to <path>.tmp, then renamed; a directory
-  // there fails every write, while set-up's .meta sidecar succeeds.
+  // there fails every write.
   const MonteCarloApp app(small_spec(2000));
   const std::string path = fresh_checkpoint_path("unwritable");
   fs::create_directory(path + ".tmp");
@@ -363,7 +401,7 @@ TEST(PlanServer, SurfacesACheckpointWriteFailureFromRun) {
   options.checkpoint_every = 1;
   EXPECT_THROW(serve(server, &Algorithm::execute, 2, options),
                std::runtime_error);
-  for (const char* suffix : {"", ".meta", ".tmp"}) fs::remove_all(path + suffix);
+  for (const char* suffix : {"", ".tmp"}) fs::remove_all(path + suffix);
 }
 
 }  // namespace

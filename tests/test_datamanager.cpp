@@ -1,11 +1,12 @@
 // Tests for the DataManager: leasing, exactly-once completion, lease
-// expiry, and worker eviction.
+// expiry, result streaming and checkpoints.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
 #include "dist/datamanager.hpp"
+#include "util/bytes.hpp"
 
 namespace phodis::dist {
 namespace {
@@ -95,19 +96,6 @@ TEST(DataManager, CompletedTaskSkippedWhenRequeued) {
   EXPECT_EQ(next->task_id, 1u);
 }
 
-TEST(DataManager, EvictWorkerRequeuesItsLeases) {
-  DataManager dm(1000.0);  // long leases: eviction is the only recovery
-  dm.add_task(0, {});
-  dm.add_task(1, {});
-  dm.add_task(2, {});
-  dm.lease_next("dead", 0.0);
-  dm.lease_next("dead", 0.0);
-  dm.lease_next("alive", 0.0);
-  EXPECT_EQ(dm.evict_worker("dead"), 2u);
-  EXPECT_EQ(dm.pending_count(), 2u);
-  EXPECT_EQ(dm.in_flight_count(), 1u);
-}
-
 TEST(DataManager, AllDoneSemantics) {
   DataManager dm(10.0);
   EXPECT_TRUE(dm.all_done());  // vacuously: no tasks
@@ -152,22 +140,28 @@ TEST(DataManager, ManyTasksDrainCompletely) {
   EXPECT_EQ(dm.completed_count(), kTasks);
 }
 
-TEST(DataManager, ResultsRetainFirstAcceptedBytes) {
+TEST(DataManager, CompletesWithoutASink) {
+  // Tasks that carry no result (the cluster simulator's) need no sink.
   DataManager dm(10.0);
   dm.add_task(0, payload_of(1));
-  dm.add_task(1, payload_of(2));
   dm.lease_next("w0", 0.0);
-  dm.lease_next("w1", 0.0);
-  EXPECT_TRUE(dm.complete(0, "w0", 1.0, {10, 11}));
-  EXPECT_FALSE(dm.complete(0, "w1", 1.5, {99}));  // late copy discarded
-  EXPECT_TRUE(dm.complete(1, "w1", 2.0, {20}));
-  const auto results = dm.results();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results.at(0), (std::vector<std::uint8_t>{10, 11}));
-  EXPECT_EQ(results.at(1), (std::vector<std::uint8_t>{20}));
+  EXPECT_TRUE(dm.complete(0, "w0", 1.0, {10}));
+  EXPECT_TRUE(dm.all_done());
 }
 
-TEST(DataManagerCheckpoint, FileRoundTripRestoresResultsAndPending) {
+TEST(DataManager, TasksListsEveryTaskInIdOrder) {
+  DataManager dm(10.0);
+  dm.add_task(2, payload_of(12));
+  dm.add_task(0, payload_of(10));
+  dm.add_task(1, payload_of(11));
+  dm.lease_next("w0", 0.0);
+  dm.complete(2, "w0", 1.0);
+  EXPECT_EQ(dm.tasks(), (std::vector<TaskRecord>{{0, payload_of(10)},
+                                                 {1, payload_of(11)},
+                                                 {2, payload_of(12)}}));
+}
+
+TEST(DataManagerCheckpoint, FileRoundTripRestoresTasksAndPending) {
   const std::string path = ::testing::TempDir() + "phodis_dm_ckpt.bin";
   {
     DataManager dm(10.0);
@@ -184,18 +178,24 @@ TEST(DataManagerCheckpoint, FileRoundTripRestoresResultsAndPending) {
   }
 
   DataManager restored(10.0);
+  std::vector<std::uint64_t> sunk;  // set before restore completes tasks
+  restored.set_result_sink(
+      [&sunk](std::uint64_t id, std::vector<std::uint8_t>) {
+        sunk.push_back(id);
+      });
   restored.restore_from_file(path);
   EXPECT_EQ(restored.completed_count(), 3u);
   EXPECT_EQ(restored.pending_count(), 3u);  // incl. the in-flight one
   EXPECT_EQ(restored.in_flight_count(), 0u);
-  const auto results = restored.results();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results.at(0), payload_of(100));
-  // The rest of the pool still drains normally.
+  ASSERT_EQ(restored.tasks().size(), 6u);
+  EXPECT_EQ(restored.tasks()[5].payload, payload_of(5));
+  // The rest of the pool still drains normally; only its results reach
+  // the sink (the first three were the sink owner's to checkpoint).
   while (auto task = restored.lease_next("w2", 0.0)) {
-    restored.complete(task->task_id, "w2", 1.0, {});
+    restored.complete(task->task_id, "w2", 1.0, {7});
   }
   EXPECT_TRUE(restored.all_done());
+  EXPECT_EQ(sunk, (std::vector<std::uint64_t>{3, 4, 5}));
   std::remove(path.c_str());
 }
 
@@ -210,7 +210,6 @@ TEST(DataManagerCheckpoint, AtomicRewriteKeepsFileValid) {
   DataManager restored(10.0);
   restored.restore_from_file(path);
   EXPECT_TRUE(restored.all_done());
-  EXPECT_EQ(restored.results().at(0), payload_of(42));
   std::remove(path.c_str());
 }
 
@@ -226,6 +225,38 @@ TEST(DataManagerCheckpoint, RejectsMissingAndMalformedFiles) {
   }
   EXPECT_THROW(dm.restore_from_file(path), std::invalid_argument);
   EXPECT_EQ(dm.pending_count(), 0u);  // untouched
+  std::remove(path.c_str());
+}
+
+TEST(DataManagerCheckpoint, RefusesAVersion2File) {
+  // A version-2 file: magic, version, empty sink blob, one completed task
+  // with its payload and the per-task result blob that v3 dropped.
+  const std::string path = ::testing::TempDir() + "phodis_dm_v2.bin";
+  util::ByteWriter writer;
+  for (char byte : {'P', 'H', 'O', 'D', 'C', 'K', 'P', 'T'}) {
+    writer.u8(static_cast<std::uint8_t>(byte));
+  }
+  writer.u32(2);
+  writer.blob({});
+  writer.u64(1);
+  writer.u64(0);
+  writer.boolean(true);
+  writer.blob(payload_of(1));
+  writer.blob(payload_of(42));
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
+              static_cast<std::streamsize>(writer.size()));
+  }
+  DataManager dm(10.0);
+  try {
+    dm.restore_from_file(path);
+    ADD_FAILURE() << "a version-2 checkpoint was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("version 2"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_TRUE(dm.tasks().empty());  // untouched
   std::remove(path.c_str());
 }
 
@@ -258,8 +289,6 @@ TEST(DataManagerSink, ReceivesEachFirstResultExactlyOnce) {
   EXPECT_EQ(sunk[0].first, 1u);
   EXPECT_EQ(sunk[0].second, (std::vector<std::uint8_t>{21}));
   EXPECT_EQ(sunk[1].first, 0u);
-  // Bytes streamed out are not retained: server memory stays bounded.
-  EXPECT_TRUE(dm.results().empty());
   EXPECT_TRUE(dm.all_done());
 }
 

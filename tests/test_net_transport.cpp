@@ -11,6 +11,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -62,9 +63,18 @@ void add_tasks(dist::DataManager& manager,
   for (const auto& task : tasks) manager.add_task(task.task_id, task.payload);
 }
 
-void expect_doubled_results(const dist::DataManager& manager,
+using Results = std::map<std::uint64_t, std::vector<std::uint8_t>>;
+
+/// Make `results` collect `manager`'s first-accepted results by task id.
+void collect_results(dist::DataManager& manager, Results& results) {
+  manager.set_result_sink(
+      [&results](std::uint64_t task_id, std::vector<std::uint8_t> bytes) {
+        results.emplace(task_id, std::move(bytes));
+      });
+}
+
+void expect_doubled_results(const Results& results,
                             const std::vector<dist::TaskRecord>& tasks) {
-  const auto results = manager.results();
   ASSERT_EQ(results.size(), tasks.size());
   for (const auto& task : tasks) {
     const auto& result = results.at(task.task_id);
@@ -111,9 +121,11 @@ TEST(SocketTransport, UdsClusterCompletesAllTasksExactlyOnce) {
   const auto tasks = make_tasks(40);
   dist::DataManager manager(30.0);
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
   Server server(Address::unix_path(unique_socket_path("uds")));
   const auto outcomes = run_cluster(server, manager, 3);
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_EQ(manager.stats().completions, 40u);
   std::size_t executed = 0;
   for (const auto& outcome : outcomes) executed += outcome.tasks_executed;
@@ -124,10 +136,12 @@ TEST(SocketTransport, TcpClusterCompletesAllTasksExactlyOnce) {
   const auto tasks = make_tasks(24);
   dist::DataManager manager(30.0);
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
   Server server(Address::tcp("127.0.0.1", 0));  // ephemeral port
   ASSERT_GT(server.local_address().port, 0);
   run_cluster(server, manager, 2);
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_EQ(manager.stats().completions, 24u);
 }
 
@@ -135,6 +149,8 @@ TEST(SocketTransport, SurvivesFrameDropsOnBothSides) {
   const auto tasks = make_tasks(30);
   dist::DataManager manager(0.2);  // fast lease recovery
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
   dist::FaultSpec server_faults;
   server_faults.drop_probability = 0.10;
   server_faults.seed = 11;
@@ -144,7 +160,7 @@ TEST(SocketTransport, SurvivesFrameDropsOnBothSides) {
   Server server(Address::unix_path(unique_socket_path("drops")),
                 server_faults);
   run_cluster(server, manager, 3, worker_faults);
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_EQ(manager.stats().completions, 30u);
   EXPECT_GT(server.frames_dropped(), 0u);
 }
@@ -153,6 +169,8 @@ TEST(SocketTransport, KilledWorkerLeaseExpiresAndAnotherFinishes) {
   const auto tasks = make_tasks(8);
   dist::DataManager manager(0.3);
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
   Server server(Address::unix_path(unique_socket_path("kill")));
 
   std::thread server_thread(
@@ -178,7 +196,7 @@ TEST(SocketTransport, KilledWorkerLeaseExpiresAndAnotherFinishes) {
   server_thread.join();
   server.shutdown();
 
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_EQ(manager.stats().completions, 8u);
   EXPECT_GE(manager.stats().lease_expirations, 1u);
   EXPECT_TRUE(outcome.saw_shutdown);
@@ -191,6 +209,8 @@ TEST(SocketTransport, WorkerDeathRenameStillReceivesOnTheSameLink) {
   const auto tasks = make_tasks(12);
   dist::DataManager manager(0.3);
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
   Server server(Address::unix_path(unique_socket_path("rename")));
   std::thread server_thread(
       [&] { dist::run_server_loop(server, manager); });
@@ -204,7 +224,7 @@ TEST(SocketTransport, WorkerDeathRenameStillReceivesOnTheSameLink) {
   server_thread.join();
   server.shutdown();
 
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_GT(outcome.deaths, 0u);
   EXPECT_TRUE(outcome.saw_shutdown);
   EXPECT_GE(manager.stats().lease_expirations, outcome.deaths);
@@ -215,6 +235,8 @@ TEST(SocketTransport, ClientReconnectsWhenServerAppearsLate) {
   const auto tasks = make_tasks(6);
   dist::DataManager manager(30.0);
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
 
   ReconnectPolicy patient;
   patient.max_attempts = 100;
@@ -235,7 +257,7 @@ TEST(SocketTransport, ClientReconnectsWhenServerAppearsLate) {
   server.shutdown();
   worker_thread.join();
 
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_TRUE(outcome.saw_shutdown);
 }
 
@@ -258,6 +280,8 @@ TEST(SocketTransport, ServerSurvivesGarbageFrames) {
   const auto tasks = make_tasks(5);
   dist::DataManager manager(30.0);
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
   Server server(Address::unix_path(unique_socket_path("garbage")));
 
   {
@@ -269,7 +293,7 @@ TEST(SocketTransport, ServerSurvivesGarbageFrames) {
   }
 
   run_cluster(server, manager, 2);
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_EQ(manager.stats().completions, 5u);
 }
 
@@ -369,7 +393,9 @@ TEST(SocketTransport, MonteCarloTallyMatchesSerialBitwise) {
 
   const auto tasks = app.build_tasks(kChunk, 1);
   dist::DataManager manager(30.0);
-  for (const auto& task : tasks) manager.add_task(task.task_id, task.payload);
+  add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
 
   Server server(Address::unix_path(unique_socket_path("mc")));
   std::vector<std::thread> workers;
@@ -387,7 +413,7 @@ TEST(SocketTransport, MonteCarloTallyMatchesSerialBitwise) {
   server.shutdown();
   for (auto& worker : workers) worker.join();
 
-  const mc::SimulationTally distributed = app.merge_results(manager.results());
+  const mc::SimulationTally distributed = app.merge_results(results);
   const mc::SimulationTally serial = app.run_serial(kChunk);
   util::ByteWriter distributed_bytes;
   distributed.serialize(distributed_bytes);
@@ -396,10 +422,33 @@ TEST(SocketTransport, MonteCarloTallyMatchesSerialBitwise) {
   EXPECT_EQ(distributed_bytes.bytes(), serial_bytes.bytes());
 }
 
+/// `results` as a checkpoint sink-state blob, and back.
+std::vector<std::uint8_t> encode_results(const Results& results) {
+  util::ByteWriter writer;
+  writer.u64(results.size());
+  for (const auto& [task_id, bytes] : results) {
+    writer.u64(task_id);
+    writer.blob(bytes);
+  }
+  return writer.take();
+}
+
+Results decode_results(const std::vector<std::uint8_t>& blob) {
+  util::ByteReader reader(blob);
+  Results results;
+  const std::uint64_t count = reader.u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t task_id = reader.u64();
+    results.emplace(task_id, reader.blob());
+  }
+  return results;
+}
+
 TEST(SocketTransport, ServerCheckpointResumesAcrossManagers) {
   // Kill-and-restart at the DataManager level: a second manager restored
-  // from the first's checkpoint finishes the remaining work and ends up
-  // with every result.
+  // from the first's checkpoint finishes the remaining work. The first
+  // four results ride in the checkpoint's sink-state blob, so the
+  // resumed run ends up with every result.
   namespace fs = std::filesystem;
   const std::string checkpoint =
       (fs::temp_directory_path() /
@@ -410,6 +459,8 @@ TEST(SocketTransport, ServerCheckpointResumesAcrossManagers) {
   {
     dist::DataManager first(30.0);
     add_tasks(first, tasks);
+    Results results;
+    collect_results(first, results);
     double now = 0.0;
     for (int i = 0; i < 4; ++i) {
       const auto lease = first.lease_next("w0", now);
@@ -417,11 +468,16 @@ TEST(SocketTransport, ServerCheckpointResumesAcrossManagers) {
       ASSERT_TRUE(first.complete(lease->task_id, "w0", now,
                                  doubler(lease->task_id, lease->payload)));
     }
-    first.checkpoint_to_file(checkpoint);
+    first.checkpoint_to_file(checkpoint, encode_results(results));
   }
 
   dist::DataManager resumed(30.0);
-  resumed.restore_from_file(checkpoint);
+  Results results;
+  collect_results(resumed, results);
+  const std::vector<std::uint8_t> sink_state =
+      resumed.restore_from_file(checkpoint);
+  results.merge(decode_results(sink_state));
+  EXPECT_EQ(results.size(), 4u);
   EXPECT_EQ(resumed.completed_count(), 4u);
   EXPECT_EQ(resumed.pending_count(), 6u);
 
@@ -436,7 +492,7 @@ TEST(SocketTransport, ServerCheckpointResumesAcrossManagers) {
   server.shutdown();
   worker_thread.join();
 
-  expect_doubled_results(resumed, tasks);
+  expect_doubled_results(results, tasks);
   fs::remove(checkpoint);
 }
 
@@ -489,7 +545,9 @@ TEST(WorkerSlots, ThreeSlotsMatchSerialBitwiseAndShipOneSnapshot) {
   constexpr std::uint64_t kChunk = 500;
   const auto tasks = app.build_tasks(kChunk, 1);
   dist::DataManager manager(30.0);
-  for (const auto& task : tasks) manager.add_task(task.task_id, task.payload);
+  add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
 
   Server server(Address::unix_path(unique_socket_path("slots")));
   LeaseRecorder recorder(server);
@@ -527,7 +585,7 @@ TEST(WorkerSlots, ThreeSlotsMatchSerialBitwiseAndShipOneSnapshot) {
   EXPECT_EQ(recorder.leased_to().count(snapshot_senders.front()), 1u);
   EXPECT_EQ(obs::registry().gauge("dist_worker_slots").value(), 3.0);
 
-  const mc::SimulationTally distributed = app.merge_results(manager.results());
+  const mc::SimulationTally distributed = app.merge_results(results);
   const mc::SimulationTally serial = app.run_serial(kChunk);
   util::ByteWriter distributed_bytes;
   distributed.serialize(distributed_bytes);
@@ -543,6 +601,8 @@ TEST(WorkerSlots, ShutdownOnOneSlotStopsTheOthers) {
   const auto tasks = make_tasks(4);
   dist::DataManager manager(30.0);
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
   Server server(Address::unix_path(unique_socket_path("stop")));
   const Address nowhere = Address::unix_path(unique_socket_path("ghost"));
   ReconnectPolicy patient;
@@ -570,7 +630,7 @@ TEST(WorkerSlots, ShutdownOnOneSlotStopsTheOthers) {
   worker_thread.join();
   server.shutdown();
 
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_TRUE(outcome.saw_shutdown);
   EXPECT_EQ(outcome.tasks_executed, tasks.size());
   EXPECT_LT(worker_returned - server_returned, std::chrono::seconds(2));
@@ -580,6 +640,8 @@ TEST(WorkerSlots, OneSlotIsTodaysSingleWorker) {
   const auto tasks = make_tasks(6);
   dist::DataManager manager(30.0);
   add_tasks(manager, tasks);
+  Results results;
+  collect_results(manager, results);
   Server server(Address::unix_path(unique_socket_path("solo")));
   LeaseRecorder recorder(server);
   std::vector<std::string> names;
@@ -594,7 +656,7 @@ TEST(WorkerSlots, OneSlotIsTodaysSingleWorker) {
   server.shutdown();
   worker_thread.join();
 
-  expect_doubled_results(manager, tasks);
+  expect_doubled_results(results, tasks);
   EXPECT_EQ(names, std::vector<std::string>{"solo"});
   EXPECT_EQ(recorder.leased_to(), std::set<std::string>{"solo"});
   EXPECT_EQ(outcome.final_name, "solo");

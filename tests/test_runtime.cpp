@@ -56,11 +56,15 @@ Served serve(const std::vector<TaskRecord>& tasks,
   for (const TaskRecord& task : tasks) {
     manager.add_task(task.task_id, task.payload);
   }
+  Served served;
+  manager.set_result_sink(
+      [&served](std::uint64_t task_id, std::vector<std::uint8_t> bytes) {
+        served.results.emplace(task_id, std::move(bytes));
+      });
   WorkerLoopOptions options;
   options.name = "w";
   options.death_probability = fleet.death_probability;
   options.death_seed = fleet.death_seed;
-  Served served;
   std::thread workers([&] {
     served.outcome = run_worker_slots(
         fleet.slots,
@@ -78,7 +82,6 @@ Served serve(const std::vector<TaskRecord>& tasks,
   transport.shutdown();  // wakes slots that missed their Shutdown
   workers.join();
   if (error) std::rethrow_exception(error);
-  served.results = manager.results();
   served.stats = manager.stats();
   served.frames_dropped = transport.frames_dropped();
   return served;

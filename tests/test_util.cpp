@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
@@ -320,6 +322,38 @@ TEST(Cli, DoubleParsing) {
   CliArgs args(4, argv);
   EXPECT_DOUBLE_EQ(args.get_double("x", 0), 2.75);
   EXPECT_DOUBLE_EQ(args.get_double("y", 0), -1000.0);
+}
+
+TEST(Cli, CountsParseWholeNonNegativeIntegers) {
+  const char* argv[] = {"prog", "--photons", "200000", "--chunk=0",
+                        "--big", "18446744073709551615"};
+  CliArgs args(6, argv);
+  EXPECT_EQ(args.get_count("photons", 1), 200'000u);
+  EXPECT_EQ(args.get_count("chunk", 1), 0u);
+  EXPECT_EQ(args.get_count("big", 0), 18'446'744'073'709'551'615u);
+  EXPECT_EQ(args.get_count("missing", 7), 7u);
+}
+
+TEST(Cli, CountsRejectNegativePartialAndNonNumbers) {
+  for (const char* value :
+       {"-1", "2e5", "12abc", "abc", "", " 5", "+5", "1.5",
+        "18446744073709551616"}) {
+    const std::string arg = std::string("--photons=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    CliArgs args(2, argv);
+    try {
+      args.get_count("photons", 1);
+      ADD_FAILURE() << "accepted \"" << value << "\"";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--photons"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // A bare flag has no number either.
+  const char* argv[] = {"prog", "--threads"};
+  CliArgs args(2, argv);
+  EXPECT_THROW(args.get_count("threads", 0), std::invalid_argument);
 }
 
 // ---------- csv --------------------------------------------------------------

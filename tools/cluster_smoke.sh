@@ -10,9 +10,12 @@
 #          cross-check.
 # Phase 2: server with --checkpoint and --merge-incremental (results
 #          folded into one running tally, checkpointed as merged state)
-#          is SIGKILLed mid-run and restarted; the surviving two-slot
-#          worker reconnects and the resumed run must still match the
-#          serial tally bitwise.
+#          is SIGKILLed mid-run and restarted; the restarted server must
+#          report that it resumed the checkpoint (so its plan-identity
+#          check ran), the surviving two-slot worker reconnects and the
+#          resumed run must still match the serial tally bitwise. The
+#          checkpoint is the run's only state file (it carries the plan's
+#          identity): no sidecar may sit beside it when the run ends.
 # Phase 3: the whole cluster runs the batched packet loop
 #          (--kernel-mode packet on the server, and explicitly on the
 #          workers). The merged tally must match the server's packet-mode
@@ -161,18 +164,16 @@ wait_for_socket "$SOCK" || fail "phase 2 server never bound $SOCK"
 W2=$!
 
 # Kill as soon as the first checkpoint lands (not after a fixed sleep):
-# on a fast host a fixed sleep can outlive the whole run, silently
-# degenerating this phase into a fresh restart instead of a resume.
+# on a fast host a fixed sleep can outlive the whole run, degenerating
+# this phase into a fresh restart instead of a resume.
 for _ in $(seq 300); do
   [ -f "$CKPT" ] && break
   kill -0 "$SERVER" 2>/dev/null || break
   sleep 0.1
 done
-if kill -0 "$SERVER" 2>/dev/null; then
-  kill -9 "$SERVER" >/dev/null 2>&1
-else
-  echo "(note: phase 2 server finished before the kill; resume not exercised)"
-fi
+kill -0 "$SERVER" 2>/dev/null ||
+  fail "phase 2 server finished before the kill; resume not exercised"
+kill -9 "$SERVER" >/dev/null 2>&1
 sleep 0.5
 
 METRICS2="$TMP/metrics_phase2.json"
@@ -186,11 +187,10 @@ SERVER_RC=$?
 [ "$SERVER_RC" -eq 0 ] || fail "phase 2 restarted server exited $SERVER_RC"
 grep -q "bitwise-identical: yes" "$TMP/server2b.log" ||
   fail "phase 2 resumed tally did not match serial bitwise"
-if grep -q "resumed" "$TMP/server2b.log"; then
-  grep "resumed" "$TMP/server2b.log"
-else
-  echo "(note: no checkpoint had landed before the kill; restart ran fresh)"
-fi
+grep "resumed .* completed" "$TMP/server2b.log" ||
+  fail "phase 2 restarted server did not resume the checkpoint"
+SIDECARS=$(find "$TMP" -name 'phase2.ckpt?*')
+[ -z "$SIDECARS" ] || fail "phase 2 left files beside its checkpoint: $SIDECARS"
 kill "$W2" >/dev/null 2>&1
 
 # Phase 2 ran without fault injection: the restarted server's report must

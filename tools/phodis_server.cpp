@@ -70,14 +70,9 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const std::string listen_spec =
       args.get("listen", "tcp:127.0.0.1:4070");
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 200'000));
-  auto chunk = static_cast<std::uint64_t>(args.get_int("chunk", 0));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
   const double lease_s = args.get_double("lease", 2.0);
   const std::string checkpoint_path = args.get("checkpoint", "");
-  const auto verify_threads =
-      static_cast<std::size_t>(args.get_int("verify-threads", 1));
   dist::FaultSpec faults;
   faults.drop_probability = args.get_double("drop", 0.0);
   faults.seed = static_cast<std::uint64_t>(args.get_int("drop-seed", 2006));
@@ -87,6 +82,9 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::TraceRecorder::global().enable();
 
   try {
+    const std::uint64_t photons = args.get_count("photons", 200'000);
+    std::uint64_t chunk = args.get_count("chunk", 0);
+    const std::uint64_t verify_threads = args.get_count("verify-threads", 1);
     const mc::KernelMode mode =
         mc::parse_kernel_mode(args.get("kernel-mode", "scalar"));
     const core::MonteCarloApp app(make_spec(photons, seed, mode));

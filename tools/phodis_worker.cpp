@@ -64,25 +64,21 @@ int main(int argc, char** argv) {
   std::string default_name = "w";
   default_name += std::to_string(::getpid());
   const std::string name = args.get("name", default_name);
-  const std::int64_t threads_arg = args.get_int("threads", 0);
   dist::FaultSpec faults;
   faults.drop_probability = args.get_double("drop", 0.0);
   faults.seed = static_cast<std::uint64_t>(args.get_int("drop-seed", 2006));
-  net::ReconnectPolicy reconnect;
-  reconnect.max_attempts =
-      static_cast<std::size_t>(args.get_int("reconnect-attempts", 20));
   const std::string metrics_path = args.get("metrics-json", "");
   const std::string trace_path = args.get("trace", "");
   util::set_log_level(util::parse_log_level(args.get("log-level", "info")));
   if (!trace_path.empty()) obs::TraceRecorder::global().enable();
 
   try {
-    if (threads_arg < 0) {
-      throw std::invalid_argument("--threads must be >= 0");
-    }
+    const std::uint64_t threads_arg = args.get_count("threads", 0);
     const std::size_t slots =
         threads_arg == 0 ? exec::ThreadPool::default_thread_count()
                          : static_cast<std::size_t>(threads_arg);
+    net::ReconnectPolicy reconnect;
+    reconnect.max_attempts = args.get_count("reconnect-attempts", 20);
     const net::Address server = net::Address::parse(connect_spec);
     const dist::SlotTransportFactory make_client =
         [&](std::size_t slot, const std::string& slot_name) {
