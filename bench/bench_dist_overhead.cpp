@@ -1,5 +1,5 @@
 // Platform overhead bench: runs the real in-process distributed runtime
-// (DataManager + workers over the loopback transport) and measures
+// (DataManager + worker slots over 127.0.0.1 sockets) and measures
 // photons/s, protocol traffic, and the cost of fault injection, versus a
 // plain serial run of the same workload. The 1-worker fleet isolates the
 // platform's overhead against the serial run — the quantity that Fig. 2's
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   spec.seed = 2006;
   core::MonteCarloApp app(spec);
 
-  std::cout << "=== Distributed-platform overhead (real threads, loopback "
-               "transport) ===\n"
+  std::cout << "=== Distributed-platform overhead (real threads, local "
+               "sockets) ===\n"
             << photons << " photons in chunks of " << chunk << "\n\n";
 
   util::Stopwatch stopwatch;

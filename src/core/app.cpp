@@ -1,15 +1,12 @@
 #include "core/app.hpp"
 
-#include <exception>
 #include <filesystem>
-#include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "dist/scheduler.hpp"
 #include "exec/parallel.hpp"
-#include "util/bytes.hpp"
+#include "net/in_process.hpp"
 #include "util/stopwatch.hpp"
 
 namespace phodis::core {
@@ -86,33 +83,6 @@ std::vector<dist::TaskRecord> MonteCarloApp::build_tasks(
   return tasks;
 }
 
-mc::SimulationTally MonteCarloApp::merge_results(
-    const std::map<std::uint64_t, std::vector<std::uint8_t>>& results)
-    const {
-  // std::map iteration is ordered by task id: the merge order (and hence
-  // the floating-point result) never depends on completion order.
-  const mc::Kernel kernel(spec_.kernel);
-  mc::SimulationTally merged = kernel.make_tally();
-  std::uint64_t expected_id = 0;
-  for (const auto& [task_id, bytes] : results) {
-    if (task_id != expected_id++) {
-      throw std::invalid_argument(
-          "MonteCarloApp: result ids are not the dense 0..n-1 of a task "
-          "plan (unexpected id " +
-          std::to_string(task_id) + ")");
-    }
-    util::ByteReader reader(bytes);
-    merged.merge(mc::SimulationTally::deserialize(reader));
-  }
-  if (merged.photons_launched() != spec_.photons) {
-    throw std::invalid_argument(
-        "MonteCarloApp: results launched " +
-        std::to_string(merged.photons_launched()) + " of " +
-        std::to_string(spec_.photons) + " photons (truncated result set)");
-  }
-  return merged;
-}
-
 RunSummary MonteCarloApp::run_distributed(
     const ExecutionOptions& options) const {
   options.validate();
@@ -123,52 +93,26 @@ RunSummary MonteCarloApp::run_distributed(
           ? options.chunk_photons
           : dist::suggest_chunk_size(spec_.photons, options.workers);
   PlanServer server(*this, chunk_photons, options.lease_duration_s);
-  dist::LoopbackTransport transport(options.transport_faults);
 
   // The fleet: options.workers task slots, exactly as one phodis_worker
-  // process runs them. A slot failure closes the transport, which ends
-  // the server loop; the slot's exception is the one rethrown.
+  // process runs them, over sockets to this process's own server.
   dist::WorkerLoopOptions worker_options;
   worker_options.name = "w";
   worker_options.death_probability = options.worker_death_probability;
-  dist::WorkerLoopOutcome fleet;
-  std::exception_ptr fleet_error;
-  std::thread fleet_thread([&] {
-    try {
-      fleet = dist::run_worker_slots(
-          options.workers,
-          [&transport](std::size_t, const std::string&) {
-            return std::make_unique<dist::BorrowedTransport>(transport);
-          },
-          &Algorithm::execute, worker_options);
-    } catch (...) {
-      fleet_error = std::current_exception();
-      transport.shutdown();
-    }
-  });
-  // On the happy path the server loop has addressed a Shutdown to every
-  // slot it heard from; closing the transport wakes any slot that missed
-  // (or lost) its frame. The fleet thread is joined however the loop
-  // ended.
   std::optional<PlanResult> result;
-  std::exception_ptr server_error;
-  try {
-    result.emplace(server.run(transport));
-  } catch (...) {
-    server_error = std::current_exception();
-  }
-  transport.shutdown();
-  fleet_thread.join();
-  if (fleet_error) std::rethrow_exception(fleet_error);
-  if (server_error) std::rethrow_exception(server_error);
+  const net::InProcessRun run = net::run_in_process(
+      options.workers, options.transport_faults, &Algorithm::execute,
+      worker_options, [&](dist::Transport& transport) {
+        result.emplace(server.run(transport));
+      });
 
   RunSummary summary{.tally = std::move(result->tally)};
   summary.tasks = server.task_count();
   summary.manager_stats = result->manager_stats;
-  summary.frames_sent = transport.frames_sent();
-  summary.frames_dropped = transport.frames_dropped();
-  summary.bytes_sent = transport.bytes_sent();
-  summary.workers_died = fleet.deaths;
+  summary.frames_sent = run.frames_sent;
+  summary.frames_dropped = run.frames_dropped;
+  summary.bytes_sent = run.bytes_sent;
+  summary.workers_died = run.fleet.deaths;
   summary.wall_seconds = stopwatch.seconds();
   return summary;
 }

@@ -7,9 +7,9 @@
 //    performs Monte Carlo simulations and returns the results."
 //
 // The app splits a photon budget into tasks and runs them serially, or
-// through PlanServer (the DataManager side) over any transport: the
-// in-process loopback fleet of run_distributed, or phodis_worker
-// processes over sockets. Tallies merge **in task-id order**, so for a
+// through PlanServer (the DataManager side) over sockets: to the
+// in-process fleet of run_distributed (net::run_in_process), or to
+// phodis_worker processes. Tallies merge **in task-id order**, so for a
 // given task plan (chunk size) the final result is bitwise identical
 // regardless of worker count, scheduling, injected faults, or whether
 // the run was serial — the reproducibility contract of README.md's
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -89,9 +88,10 @@ class MonteCarloApp {
   mc::SimulationTally run_parallel(std::size_t threads,
                                    std::uint64_t chunk_photons = 0) const;
 
-  /// Full platform execution: a PlanServer and a fleet of
-  /// options.workers task slots over one LoopbackTransport, with optional
-  /// fault injection.
+  /// Full platform execution in this process: a PlanServer and a fleet
+  /// of options.workers task slots over sockets (net::run_in_process),
+  /// with optional fault injection. The summary's frame and byte counts
+  /// are the server's plus every slot's.
   RunSummary run_distributed(const ExecutionOptions& options) const;
 
   /// The task plan for a given chunk size (0 = auto for `workers`).
@@ -101,16 +101,6 @@ class MonteCarloApp {
   /// Encode the plan into TaskRecords — what PlanServer serves.
   std::vector<dist::TaskRecord> build_tasks(std::uint64_t chunk_photons,
                                             std::size_t workers) const;
-
-  /// Merge serialised partial tallies in task-id order; for a fixed task
-  /// plan the result is bitwise identical no matter which worker (or
-  /// process, or machine) computed each part. Every task plan numbers
-  /// its tasks 0..n-1 and launches spec().photons in total, so results
-  /// whose ids are not that dense range, or that miss photons (a
-  /// truncated set), throw.
-  mc::SimulationTally merge_results(
-      const std::map<std::uint64_t, std::vector<std::uint8_t>>& results)
-      const;
 
   const SimulationSpec& spec() const noexcept { return spec_; }
 

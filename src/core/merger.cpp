@@ -20,7 +20,7 @@ void IncrementalTallyMerger::fold(std::uint64_t task_id,
     return;
   }
   // Extend the contiguous prefix, draining any buffered successors —
-  // the same task-id-order arithmetic as MonteCarloApp::merge_results.
+  // the same task-id-order fold as MonteCarloApp::run_serial.
   util::ByteReader reader(bytes);
   merged_.merge(mc::SimulationTally::deserialize(reader));
   ++next_id_;

@@ -2,8 +2,8 @@
 //
 // The paper's platform exchanges serialised Java objects between the
 // DataManager and its clients; here every protocol step is an explicit
-// framed byte buffer so the encode → transfer → decode path is exercised
-// even for the in-process loopback transport. Decoding is strict: a
+// framed byte buffer, sent over the same sockets whether the workers are
+// other processes or in-process task slots. Decoding is strict: a
 // malformed frame from a worker must never take down the server, so every
 // defect (unknown type, truncated header, length mismatch, trailing
 // bytes) raises a typed exception at the frame boundary.

@@ -288,7 +288,7 @@ WorkerLoopOutcome run_worker_slots(std::size_t slots,
   options.validate();
   obs::registry().gauge("dist_worker_slots").set(static_cast<double>(slots));
 
-  std::vector<std::unique_ptr<Transport>> transports;
+  std::vector<std::shared_ptr<Transport>> transports;
   for (std::size_t slot = 0; slot < slots; ++slot) {
     transports.push_back(make_transport(slot, slot_name(options.name, slot)));
   }

@@ -1,11 +1,11 @@
 // The distributed runtime: the RequestWork/AssignTask/TaskResult
 // protocol, factored into a server loop and a worker loop that run over
-// any Transport — the in-process loopback or real sockets. The server
-// side is core::PlanServer, which runs run_server_loop: the real-time
-// driver of dist::ServerCore, which decides every reply. The worker side
-// is run_worker_slots, one run_worker_loop per task slot, each over its
-// own transport (a net::Client in phodis_worker, a handle on the shared
-// loopback in MonteCarloApp::run_distributed).
+// any Transport. The server side is core::PlanServer, which runs
+// run_server_loop: the real-time driver of dist::ServerCore, which
+// decides every reply. The worker side is run_worker_slots, one
+// run_worker_loop per task slot, each over its own transport: a
+// net::Client, both in phodis_worker and in the in-process platform
+// (net::run_in_process, behind MonteCarloApp::run_distributed).
 //
 // Faults are first-class: frames may be dropped (FaultSpec) and workers
 // may die mid-assignment (death_probability, or a real SIGKILL); lease
@@ -33,8 +33,9 @@ using TaskExecutor = std::function<std::vector<std::uint8_t>(
     std::uint64_t, const std::vector<std::uint8_t>&)>;
 
 struct ServerLoopOptions {
-  /// Persist the DataManager (tasks, completion bits, results) here so a
-  /// restarted server resumes instead of recomputing. Empty = off.
+  /// Persist the DataManager (its task table and completion bits, plus
+  /// the checkpoint_state blob) here so a restarted server resumes
+  /// instead of recomputing. Empty = off.
   std::string checkpoint_path;
   /// Checkpoint after this many new completions (and always once at the
   /// end of the run).
@@ -79,8 +80,9 @@ struct WorkerLoopOptions {
   double death_probability = 0.0;
   /// Seed of the death stream (independent of transport faults).
   std::uint64_t death_seed = 2006;
-  /// Extra liveness check polled each iteration (in-process pools use it
-  /// to stop workers whose Shutdown frame was lost); empty = always on.
+  /// Extra liveness check polled each iteration (run_worker_slots uses it
+  /// to stop the other slots once one has seen Shutdown); empty = always
+  /// on.
   std::function<bool()> keep_running;
 
   void validate() const;
@@ -112,7 +114,9 @@ std::uint64_t slot_seed(std::uint64_t seed, std::size_t slot,
                         std::size_t slots);
 
 /// Builds the transport of task slot `slot`, whose endpoint is `name`.
-using SlotTransportFactory = std::function<std::unique_ptr<Transport>(
+/// Shared, so that the caller may keep a handle: to shut a slot down from
+/// outside, or to read its counters after the run.
+using SlotTransportFactory = std::function<std::shared_ptr<Transport>(
     std::size_t slot, const std::string& name)>;
 
 /// One worker process as `slots` independent lease holders: slot k runs

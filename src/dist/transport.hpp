@@ -3,10 +3,10 @@
 // Endpoints are named mailboxes: send(endpoint, msg) delivers an encoded
 // frame to whoever receives on that name. The server receives on its own
 // well-known endpoint and replies to the sender names it sees; workers
-// receive on their own names. Implementations are free to realise that
-// namespace in-process (LoopbackTransport) or across machines
-// (net::Server / net::Client over TCP or Unix-domain sockets); the
-// protocol loops in runtime.cpp run unchanged over either.
+// receive on their own names. net::Server and net::Client realise that
+// namespace over TCP or Unix-domain sockets, for separate processes and
+// for the in-process platform alike (net::run_in_process); the protocol
+// loops in runtime.cpp see only this interface.
 //
 // Sends may be dropped with a configured, seeded probability (FaultSpec);
 // drop decisions are taken before the frame leaves the sender, so fault
@@ -14,14 +14,9 @@
 // thread-safe.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "dist/message.hpp"
 #include "util/rng.hpp"
@@ -34,8 +29,8 @@ class Transport {
 
   /// Encode and deliver `msg` to `endpoint` (or drop it, per the fault
   /// spec). After shutdown() this is a silent no-op; a frame lost on the
-  /// way (full queue, broken socket) is equally silent — the protocol
-  /// retries, it never relies on delivery.
+  /// way (no route to the peer, broken socket) is equally silent — the
+  /// protocol retries, it never relies on delivery.
   virtual void send(const std::string& endpoint, const Message& msg) = 0;
 
   /// Pop the next frame for `endpoint` without blocking.
@@ -78,66 +73,6 @@ class DropInjector {
  private:
   util::Xoshiro256pp rng_;
   double probability_;
-};
-
-/// In-process implementation: endpoints are FIFO queues of encoded
-/// frames, so even a loopback run pays (and tests) the full
-/// encode/decode cost a socket transport would.
-class LoopbackTransport final : public Transport {
- public:
-  LoopbackTransport() : LoopbackTransport(FaultSpec{}) {}
-  explicit LoopbackTransport(const FaultSpec& faults);
-
-  void send(const std::string& endpoint, const Message& msg) override;
-  std::optional<Message> try_receive(const std::string& endpoint) override;
-  std::optional<Message> receive(const std::string& endpoint,
-                                 std::int64_t timeout_ms) override;
-  void shutdown() override;
-  bool closed() const override;
-
-  std::uint64_t frames_sent() const override;
-  std::uint64_t frames_dropped() const override;
-  std::uint64_t bytes_sent() const override;
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::map<std::string, std::deque<std::vector<std::uint8_t>>> queues_;
-  DropInjector drops_;
-  bool shutdown_ = false;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_dropped_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-};
-
-/// Forwards every call to a transport it does not own, so several owners
-/// (run_worker_slots' slots, say) can share one LoopbackTransport.
-/// `inner` must outlive it.
-class BorrowedTransport final : public Transport {
- public:
-  explicit BorrowedTransport(Transport& inner) : inner_(inner) {}
-
-  void send(const std::string& endpoint, const Message& msg) override {
-    inner_.send(endpoint, msg);
-  }
-  std::optional<Message> try_receive(const std::string& endpoint) override {
-    return inner_.try_receive(endpoint);
-  }
-  std::optional<Message> receive(const std::string& endpoint,
-                                 std::int64_t timeout_ms) override {
-    return inner_.receive(endpoint, timeout_ms);
-  }
-  void shutdown() override { inner_.shutdown(); }
-  bool closed() const override { return inner_.closed(); }
-
-  std::uint64_t frames_sent() const override { return inner_.frames_sent(); }
-  std::uint64_t frames_dropped() const override {
-    return inner_.frames_dropped();
-  }
-  std::uint64_t bytes_sent() const override { return inner_.bytes_sent(); }
-
- private:
-  Transport& inner_;
 };
 
 }  // namespace phodis::dist

@@ -225,4 +225,16 @@ std::uint64_t Client::bytes_sent() const {
   return bytes_sent_;
 }
 
+dist::SlotTransportFactory slot_clients(Address server,
+                                        dist::FaultSpec faults,
+                                        std::size_t slots,
+                                        ReconnectPolicy reconnect) {
+  return [server = std::move(server), faults, slots, reconnect](
+             std::size_t slot, const std::string& name) {
+    dist::FaultSpec slot_faults = faults;
+    slot_faults.seed = dist::slot_seed(faults.seed, slot, slots);
+    return std::make_shared<Client>(server, name, slot_faults, reconnect);
+  };
+}
+
 }  // namespace phodis::net

@@ -23,6 +23,7 @@
 #include <string>
 #include <thread>
 
+#include "dist/runtime.hpp"
 #include "dist/transport.hpp"
 #include "net/mailbox.hpp"
 #include "net/socket.hpp"
@@ -86,5 +87,15 @@ class Client final : public dist::Transport {
 
   std::thread reader_thread_;
 };
+
+/// The transports of one worker's `slots` task slots
+/// (dist::run_worker_slots): slot k is a Client to `server` named after
+/// its endpoint, dropping frames with faults.drop_probability on the
+/// stream dist::slot_seed(faults.seed, k, slots), so slots never drop in
+/// lockstep.
+dist::SlotTransportFactory slot_clients(Address server,
+                                        dist::FaultSpec faults,
+                                        std::size_t slots,
+                                        ReconnectPolicy reconnect = {});
 
 }  // namespace phodis::net

@@ -1,7 +1,7 @@
 // Named FIFO queues of decoded messages, shared by the socket
-// transports: reader threads deliver, protocol loops pop. Mirrors the
-// blocking semantics of LoopbackTransport's queues (receive waits on a
-// condition variable; close() wakes everyone for good).
+// transports: reader threads deliver, protocol loops pop. pop() waits on
+// a condition variable until a message arrives, the timeout passes, or
+// close() wakes everyone for good.
 #pragma once
 
 #include <chrono>

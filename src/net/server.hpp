@@ -9,8 +9,9 @@
 // wins, exactly like the paper's clients re-registering with the
 // DataManager after a reboot.
 //
-// Implements dist::Transport, so dist::run_server_loop() drives a real
-// cluster with the same code that drives the in-process loopback.
+// Implements dist::Transport: dist::run_server_loop() drives it, for a
+// cluster of phodis_worker processes and for the in-process platform
+// (net::run_in_process) alike.
 #pragma once
 
 #include <cstdint>

@@ -6,16 +6,15 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <exception>
 #include <filesystem>
-#include <memory>
+#include <map>
 #include <optional>
-#include <thread>
 
 #include "core/app.hpp"
 #include "core/merger.hpp"
 #include "mc/presets.hpp"
-#include "util/bytes.hpp"
+#include "net/in_process.hpp"
+#include "obs/metrics.hpp"
 
 namespace phodis::core {
 namespace {
@@ -157,20 +156,29 @@ TEST(App, ReportsPlatformStatistics) {
   EXPECT_GT(summary.wall_seconds, 0.0);
 }
 
-TEST(App, MergeResultsRejectsATruncatedResultSet) {
-  // Tasks 0 and 1 of a 4-task plan are a dense prefix, but they launched
-  // only half the photons.
-  const MonteCarloApp app(small_spec(2000));
-  const auto tasks = app.build_tasks(500, 1);
-  ASSERT_EQ(tasks.size(), 4u);
-  std::map<std::uint64_t, std::vector<std::uint8_t>> results;
-  for (std::uint64_t id : {0u, 1u}) {
-    results.emplace(id, Algorithm::execute(id, tasks[id].payload));
-  }
-  EXPECT_THROW(app.merge_results(results), std::invalid_argument);
+TEST(App, DistributedRunGoesThroughTheSocketTransport) {
+  const MonteCarloApp app(small_spec(1000));
+  obs::Counter& server_frames = obs::registry().counter(
+      "net_frames_sent_total", {{"side", "server"}});
+  obs::Counter& client_frames = obs::registry().counter(
+      "net_frames_sent_total", {{"side", "client"}});
+  const std::uint64_t server_before = server_frames.value();
+  const std::uint64_t client_before = client_frames.value();
+  ExecutionOptions options;
+  options.workers = 2;
+  options.chunk_photons = 250;
+  const RunSummary summary = app.run_distributed(options);
+
+  const std::uint64_t server_sent = server_frames.value() - server_before;
+  const std::uint64_t client_sent = client_frames.value() - client_before;
+  EXPECT_GT(server_sent, 0u);
+  EXPECT_GT(client_sent, 0u);
+  // The summary counts every frame either side sent.
+  EXPECT_EQ(summary.frames_sent, server_sent + client_sent);
+  EXPECT_EQ(summary.tally.to_bytes(), app.run_serial(250).to_bytes());
 }
 
-TEST(IncrementalTallyMerger, OutOfOrderFoldMatchesMergeResultsBitwise) {
+TEST(IncrementalTallyMerger, OutOfOrderFoldMatchesSerialBitwise) {
   const SimulationSpec spec = small_spec(3000);
   const MonteCarloApp app(spec);
   const auto tasks = app.build_tasks(500, 1);
@@ -181,15 +189,14 @@ TEST(IncrementalTallyMerger, OutOfOrderFoldMatchesMergeResultsBitwise) {
   }
 
   // Deliver in a scrambled arrival order; the reorder buffer must keep
-  // the fold in task-id order and hence bitwise equal to merge_results.
+  // the fold in task-id order and hence bitwise equal to the serial run.
   IncrementalTallyMerger merger(spec);
   const std::vector<std::uint64_t> arrival = {2, 0, 1, 5, 4, 3};
   ASSERT_EQ(arrival.size(), tasks.size());
   for (std::uint64_t id : arrival) merger.fold(id, results.at(id));
   EXPECT_EQ(merger.frontier(), tasks.size());
   EXPECT_EQ(merger.buffered_count(), 0u);
-  EXPECT_EQ(merger.merged().to_bytes(),
-            app.merge_results(results).to_bytes());
+  EXPECT_EQ(merger.merged().to_bytes(), app.run_serial(500).to_bytes());
 }
 
 TEST(IncrementalTallyMerger, BuffersAheadOfTheFrontier) {
@@ -228,8 +235,7 @@ TEST(IncrementalTallyMerger, StateRoundTripResumesMidRun) {
   for (std::uint64_t id : {1u, 2u, 4u, 5u}) resumed.fold(id, results.at(id));
 
   EXPECT_EQ(resumed.frontier(), tasks.size());
-  EXPECT_EQ(resumed.merged().to_bytes(),
-            app.merge_results(results).to_bytes());
+  EXPECT_EQ(resumed.merged().to_bytes(), app.run_serial(500).to_bytes());
 }
 
 TEST(IncrementalTallyMerger, RestoreRequiresFreshMerger) {
@@ -299,34 +305,16 @@ TEST(App, GridsSurviveDistributionAndMerge) {
 }
 
 /// Serve `server`'s plan to `slots` in-process task slots running
-/// `executor`, as run_distributed does. A slot's failure closes the
-/// transport; the fleet is joined however the run ends.
+/// `executor`, over sockets as run_distributed does. A slot's failure
+/// shuts the server down; its exception is the one rethrown.
 PlanResult serve(PlanServer& server, const dist::TaskExecutor& executor,
                  std::size_t slots = 2,
                  const dist::ServerLoopOptions& options = {}) {
-  dist::LoopbackTransport transport;
-  std::thread fleet([&] {
-    try {
-      dist::run_worker_slots(
-          slots,
-          [&transport](std::size_t, const std::string&) {
-            return std::make_unique<dist::BorrowedTransport>(transport);
-          },
-          executor, dist::WorkerLoopOptions{});
-    } catch (...) {
-      transport.shutdown();
-    }
-  });
   std::optional<PlanResult> result;
-  std::exception_ptr error;
-  try {
-    result.emplace(server.run(transport, options));
-  } catch (...) {
-    error = std::current_exception();
-  }
-  transport.shutdown();
-  fleet.join();
-  if (error) std::rethrow_exception(error);
+  net::run_in_process(slots, {}, executor, dist::WorkerLoopOptions{},
+                      [&](dist::Transport& transport) {
+                        result.emplace(server.run(transport, options));
+                      });
   return std::move(*result);
 }
 
@@ -347,7 +335,7 @@ TEST(PlanServer, ResumesAKilledRunFromItsCheckpoint) {
   {
     // The only worker fails on its third task. It asks for that task
     // after sending the second result, so the server has accepted and
-    // checkpointed two results when the transport closes.
+    // checkpointed two results when the slot's failure shuts it down.
     PlanServer first(app, 500, 30.0, path);
     EXPECT_FALSE(first.resumed());
     std::atomic<int> calls{0};

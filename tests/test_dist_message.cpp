@@ -1,10 +1,14 @@
-// Tests for message framing and the loopback transport.
+// Tests for message framing, the socket transports' mailbox queues and
+// the seeded drop injector.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "dist/message.hpp"
 #include "dist/transport.hpp"
+#include "net/mailbox.hpp"
 
 namespace phodis::dist {
 namespace {
@@ -79,116 +83,104 @@ TEST(FaultSpec, Validation) {
   EXPECT_NO_THROW(spec.validate());
 }
 
-// ---------- LoopbackTransport -------------------------------------------------
+// ---------- net::Mailbox ----------------------------------------------------
+// The queues behind net::Server's and net::Client's receive().
 
-TEST(Transport, DeliversInFifoOrder) {
-  LoopbackTransport transport;
-  for (int i = 0; i < 5; ++i) {
-    Message msg;
-    msg.type = MessageType::kAssignTask;
-    msg.task_id = static_cast<std::uint64_t>(i);
-    transport.send("dest", msg);
-  }
-  for (int i = 0; i < 5; ++i) {
-    auto msg = transport.try_receive("dest");
-    ASSERT_TRUE(msg.has_value());
-    EXPECT_EQ(msg->task_id, static_cast<std::uint64_t>(i));
-  }
-  EXPECT_FALSE(transport.try_receive("dest").has_value());
-}
+using net::Mailbox;
 
-TEST(Transport, EndpointsAreIsolated) {
-  LoopbackTransport transport;
+Message with_task_id(std::uint64_t task_id) {
   Message msg;
-  msg.sender = "a";
-  transport.send("alice", msg);
-  EXPECT_FALSE(transport.try_receive("bob").has_value());
-  EXPECT_TRUE(transport.try_receive("alice").has_value());
+  msg.task_id = task_id;
+  return msg;
 }
 
-TEST(Transport, ReceiveTimesOutWhenEmpty) {
-  LoopbackTransport transport;
-  const auto result = transport.receive("nobody", 10);
-  EXPECT_FALSE(result.has_value());
+TEST(Mailbox, DeliversInFifoOrder) {
+  Mailbox mailbox;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    mailbox.deliver("dest", with_task_id(i));
+  }
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    auto msg = mailbox.try_pop("dest");
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->task_id, i);
+  }
+  EXPECT_FALSE(mailbox.try_pop("dest").has_value());
 }
 
-TEST(Transport, BlockingReceiveWakesOnSend) {
-  LoopbackTransport transport;
-  std::thread sender([&] {
+TEST(Mailbox, EndpointsAreIsolated) {
+  Mailbox mailbox;
+  mailbox.deliver("alice", with_task_id(1));
+  EXPECT_FALSE(mailbox.try_pop("bob").has_value());
+  EXPECT_TRUE(mailbox.try_pop("alice").has_value());
+}
+
+TEST(Mailbox, PopTimesOutWhenEmpty) {
+  Mailbox mailbox;
+  EXPECT_FALSE(mailbox.pop("nobody", 10).has_value());
+}
+
+TEST(Mailbox, BlockingPopWakesOnDeliver) {
+  Mailbox mailbox;
+  std::thread deliverer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    Message msg;
-    msg.task_id = 7;
-    transport.send("w", msg);
+    mailbox.deliver("w", with_task_id(7));
   });
-  const auto msg = transport.receive("w", 2000);
-  sender.join();
+  const auto msg = mailbox.pop("w", 2000);
+  deliverer.join();
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->task_id, 7u);
 }
 
-TEST(Transport, CountsFramesAndBytes) {
-  LoopbackTransport transport;
-  Message msg;
-  msg.payload = {1, 2, 3, 4};
-  transport.send("x", msg);
-  transport.send("x", msg);
-  EXPECT_EQ(transport.frames_sent(), 2u);
-  EXPECT_EQ(transport.frames_dropped(), 0u);
-  EXPECT_GT(transport.bytes_sent(), 8u);
-}
-
-TEST(Transport, DropInjectionLosesRoughlyTheConfiguredFraction) {
-  FaultSpec faults;
-  faults.drop_probability = 0.3;
-  faults.seed = 5;
-  LoopbackTransport transport(faults);
-  Message msg;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) transport.send("x", msg);
-  const double rate =
-      static_cast<double>(transport.frames_dropped()) / n;
-  EXPECT_NEAR(rate, 0.3, 0.02);
-  // Delivered + dropped == sent.
-  int delivered = 0;
-  while (transport.try_receive("x")) ++delivered;
-  EXPECT_EQ(delivered + transport.frames_dropped(),
-            transport.frames_sent());
-}
-
-TEST(Transport, ShutdownWakesBlockedReceivers) {
-  LoopbackTransport transport;
-  std::thread waiter([&] {
-    const auto msg = transport.receive("w", 60000);
-    EXPECT_FALSE(msg.has_value());
-  });
+TEST(Mailbox, CloseWakesBlockedPoppers) {
+  Mailbox mailbox;
+  std::thread waiter(
+      [&] { EXPECT_FALSE(mailbox.pop("w", 60000).has_value()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  transport.shutdown();
+  mailbox.close();
   waiter.join();
+  EXPECT_TRUE(mailbox.closed());
 }
 
-TEST(Transport, RefusesTrafficAfterShutdown) {
-  LoopbackTransport transport;
-  transport.shutdown();
-  Message msg;
-  transport.send("x", msg);
-  EXPECT_FALSE(transport.try_receive("x").has_value());
+TEST(Mailbox, RefusesTrafficAfterClose) {
+  Mailbox mailbox;
+  mailbox.deliver("x", with_task_id(1));
+  mailbox.close();
+  mailbox.deliver("x", with_task_id(2));
+  EXPECT_FALSE(mailbox.try_pop("x").has_value());
+  EXPECT_FALSE(mailbox.pop("x", 10).has_value());
 }
 
-TEST(Transport, ConcurrentSendersDontLoseFrames) {
-  LoopbackTransport transport;
+TEST(Mailbox, ConcurrentDeliverersDontLoseMessages) {
+  Mailbox mailbox;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 500;
-  std::vector<std::thread> senders;
+  std::vector<std::thread> deliverers;
   for (int t = 0; t < kThreads; ++t) {
-    senders.emplace_back([&transport] {
-      Message msg;
-      for (int i = 0; i < kPerThread; ++i) transport.send("sink", msg);
+    deliverers.emplace_back([&mailbox] {
+      for (int i = 0; i < kPerThread; ++i) mailbox.deliver("sink", Message{});
     });
   }
-  for (auto& t : senders) t.join();
+  for (auto& t : deliverers) t.join();
   int received = 0;
-  while (transport.try_receive("sink")) ++received;
+  while (mailbox.try_pop("sink")) ++received;
   EXPECT_EQ(received, kThreads * kPerThread);
+}
+
+// ---------- DropInjector -----------------------------------------------------
+
+TEST(DropInjector, DropsRoughlyTheConfiguredFraction) {
+  DropInjector drops(FaultSpec{.drop_probability = 0.3, .seed = 5});
+  const int n = 10000;
+  int dropped = 0;
+  for (int i = 0; i < n; ++i) dropped += drops.should_drop() ? 1 : 0;
+  EXPECT_NEAR(static_cast<double>(dropped) / n, 0.3, 0.02);
+}
+
+TEST(DropInjector, ZeroProbabilitySpecNeverDrops) {
+  for (std::uint64_t seed : {0u, 5u, 2006u}) {
+    DropInjector drops(FaultSpec{.drop_probability = 0.0, .seed = seed});
+    for (int i = 0; i < 10000; ++i) ASSERT_FALSE(drops.should_drop());
+  }
 }
 
 }  // namespace

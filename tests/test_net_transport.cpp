@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/app.hpp"
+#include "core/merger.hpp"
 #include "dist/runtime.hpp"
 #include "mc/presets.hpp"
 #include "net/client.hpp"
@@ -70,6 +71,16 @@ void collect_results(dist::DataManager& manager, Results& results) {
   manager.set_result_sink(
       [&results](std::uint64_t task_id, std::vector<std::uint8_t> bytes) {
         results.emplace(task_id, std::move(bytes));
+      });
+}
+
+/// Make `merger` fold `manager`'s first-accepted results, as
+/// core::PlanServer does.
+void fold_results(dist::DataManager& manager,
+                  core::IncrementalTallyMerger& merger) {
+  manager.set_result_sink(
+      [&merger](std::uint64_t task_id, std::vector<std::uint8_t> bytes) {
+        merger.fold(task_id, std::move(bytes));
       });
 }
 
@@ -394,8 +405,8 @@ TEST(SocketTransport, MonteCarloTallyMatchesSerialBitwise) {
   const auto tasks = app.build_tasks(kChunk, 1);
   dist::DataManager manager(30.0);
   add_tasks(manager, tasks);
-  Results results;
-  collect_results(manager, results);
+  core::IncrementalTallyMerger merger(app.spec());
+  fold_results(manager, merger);
 
   Server server(Address::unix_path(unique_socket_path("mc")));
   std::vector<std::thread> workers;
@@ -413,13 +424,7 @@ TEST(SocketTransport, MonteCarloTallyMatchesSerialBitwise) {
   server.shutdown();
   for (auto& worker : workers) worker.join();
 
-  const mc::SimulationTally distributed = app.merge_results(results);
-  const mc::SimulationTally serial = app.run_serial(kChunk);
-  util::ByteWriter distributed_bytes;
-  distributed.serialize(distributed_bytes);
-  util::ByteWriter serial_bytes;
-  serial.serialize(serial_bytes);
-  EXPECT_EQ(distributed_bytes.bytes(), serial_bytes.bytes());
+  EXPECT_EQ(merger.merged().to_bytes(), app.run_serial(kChunk).to_bytes());
 }
 
 /// `results` as a checkpoint sink-state blob, and back.
@@ -536,7 +541,7 @@ dist::SlotTransportFactory clients_to(const Server& server,
   return [&server, &names](std::size_t slot, const std::string& name) {
     EXPECT_EQ(slot, names.size());  // one call per slot, in slot order
     names.push_back(name);
-    return std::make_unique<Client>(server.local_address(), name);
+    return std::make_shared<Client>(server.local_address(), name);
   };
 }
 
@@ -546,8 +551,8 @@ TEST(WorkerSlots, ThreeSlotsMatchSerialBitwiseAndShipOneSnapshot) {
   const auto tasks = app.build_tasks(kChunk, 1);
   dist::DataManager manager(30.0);
   add_tasks(manager, tasks);
-  Results results;
-  collect_results(manager, results);
+  core::IncrementalTallyMerger merger(app.spec());
+  fold_results(manager, merger);
 
   Server server(Address::unix_path(unique_socket_path("slots")));
   LeaseRecorder recorder(server);
@@ -585,13 +590,7 @@ TEST(WorkerSlots, ThreeSlotsMatchSerialBitwiseAndShipOneSnapshot) {
   EXPECT_EQ(recorder.leased_to().count(snapshot_senders.front()), 1u);
   EXPECT_EQ(obs::registry().gauge("dist_worker_slots").value(), 3.0);
 
-  const mc::SimulationTally distributed = app.merge_results(results);
-  const mc::SimulationTally serial = app.run_serial(kChunk);
-  util::ByteWriter distributed_bytes;
-  distributed.serialize(distributed_bytes);
-  util::ByteWriter serial_bytes;
-  serial.serialize(serial_bytes);
-  EXPECT_EQ(distributed_bytes.bytes(), serial_bytes.bytes());
+  EXPECT_EQ(merger.merged().to_bytes(), app.run_serial(kChunk).to_bytes());
 }
 
 TEST(WorkerSlots, ShutdownOnOneSlotStopsTheOthers) {
@@ -611,9 +610,9 @@ TEST(WorkerSlots, ShutdownOnOneSlotStopsTheOthers) {
   patient.max_backoff_ms = 20;
   const dist::SlotTransportFactory factory =
       [&](std::size_t slot,
-          const std::string& name) -> std::unique_ptr<dist::Transport> {
-    if (slot == 0) return std::make_unique<Client>(server.local_address(), name);
-    return std::make_unique<Client>(nowhere, name, dist::FaultSpec{}, patient);
+          const std::string& name) -> std::shared_ptr<dist::Transport> {
+    if (slot == 0) return std::make_shared<Client>(server.local_address(), name);
+    return std::make_shared<Client>(nowhere, name, dist::FaultSpec{}, patient);
   };
 
   using Clock = std::chrono::steady_clock;

@@ -1,16 +1,14 @@
 // End-to-end tests of the distributed protocol: run_server_loop against
-// a run_worker_slots fleet over one LoopbackTransport — the in-process
-// pairing MonteCarloApp::run_distributed uses — with fault injection.
+// a run_worker_slots fleet over sockets, both in this process — the
+// pairing MonteCarloApp::run_distributed uses (net::run_in_process) —
+// with fault injection.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <exception>
 #include <map>
-#include <memory>
-#include <thread>
 
 #include "dist/runtime.hpp"
-#include "dist/transport.hpp"
+#include "net/in_process.hpp"
 
 namespace phodis::dist {
 namespace {
@@ -48,10 +46,9 @@ struct Served {
 };
 
 /// Serve `tasks` to `fleet.slots` task slots of one run_worker_slots
-/// call, both sides over one shared loopback.
+/// call, over a net::Server and one net::Client per slot.
 Served serve(const std::vector<TaskRecord>& tasks,
              const TaskExecutor& executor, const Fleet& fleet = {}) {
-  LoopbackTransport transport(fleet.faults);
   DataManager manager(fleet.lease_s);
   for (const TaskRecord& task : tasks) {
     manager.add_task(task.task_id, task.payload);
@@ -65,29 +62,18 @@ Served serve(const std::vector<TaskRecord>& tasks,
   options.name = "w";
   options.death_probability = fleet.death_probability;
   options.death_seed = fleet.death_seed;
-  std::thread workers([&] {
-    served.outcome = run_worker_slots(
-        fleet.slots,
-        [&transport](std::size_t, const std::string&) {
-          return std::make_unique<BorrowedTransport>(transport);
-        },
-        executor, options);
-  });
-  std::exception_ptr error;
-  try {
-    run_server_loop(transport, manager);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  transport.shutdown();  // wakes slots that missed their Shutdown
-  workers.join();
-  if (error) std::rethrow_exception(error);
+  const net::InProcessRun run = net::run_in_process(
+      fleet.slots, fleet.faults, executor, options,
+      [&manager](Transport& transport) {
+        run_server_loop(transport, manager);
+      });
   served.stats = manager.stats();
-  served.frames_dropped = transport.frames_dropped();
+  served.outcome = run.fleet;
+  served.frames_dropped = run.frames_dropped;
   return served;
 }
 
-TEST(WorkerSlotsOverLoopback, CompletesAllTasksSingleWorker) {
+TEST(WorkerSlotsOverSockets, CompletesAllTasksSingleWorker) {
   const auto tasks = make_tasks(16);
   const Served served = serve(tasks, doubler, {.slots = 1});
   ASSERT_EQ(served.results.size(), 16u);
@@ -99,19 +85,19 @@ TEST(WorkerSlotsOverLoopback, CompletesAllTasksSingleWorker) {
   EXPECT_EQ(served.stats.completions, 16u);
 }
 
-TEST(WorkerSlotsOverLoopback, CompletesWithManyWorkers) {
+TEST(WorkerSlotsOverSockets, CompletesWithManyWorkers) {
   const Served served = serve(make_tasks(64), doubler, {.slots = 8});
   EXPECT_EQ(served.results.size(), 64u);
   EXPECT_GE(served.outcome.tasks_executed, 64u);
 }
 
-TEST(WorkerSlotsOverLoopback, EmptyTaskListTerminatesImmediately) {
+TEST(WorkerSlotsOverSockets, EmptyTaskListTerminatesImmediately) {
   const Served served = serve({}, doubler);
   EXPECT_TRUE(served.results.empty());
   EXPECT_EQ(served.outcome.tasks_executed, 0u);
 }
 
-TEST(WorkerSlotsOverLoopback, ExecutorSeesCorrectTaskIds) {
+TEST(WorkerSlotsOverSockets, ExecutorSeesCorrectTaskIds) {
   std::atomic<std::uint64_t> id_sum{0};
   auto executor = [&](std::uint64_t task_id,
                       const std::vector<std::uint8_t>&) {
@@ -124,7 +110,7 @@ TEST(WorkerSlotsOverLoopback, ExecutorSeesCorrectTaskIds) {
   EXPECT_EQ(id_sum.load(), 45u);
 }
 
-TEST(WorkerSlotsOverLoopback, SurvivesDroppedFrames) {
+TEST(WorkerSlotsOverSockets, SurvivesDroppedFrames) {
   // Lease 0.2 s: fast recovery of lost assignments.
   const Served served =
       serve(make_tasks(40), doubler,
@@ -137,7 +123,7 @@ TEST(WorkerSlotsOverLoopback, SurvivesDroppedFrames) {
   EXPECT_EQ(served.stats.completions, 40u);
 }
 
-TEST(WorkerSlotsOverLoopback, SurvivesWorkerDeaths) {
+TEST(WorkerSlotsOverSockets, SurvivesWorkerDeaths) {
   const Served served = serve(make_tasks(50), doubler,
                               {.slots = 6,
                                .lease_s = 0.2,
@@ -149,7 +135,7 @@ TEST(WorkerSlotsOverLoopback, SurvivesWorkerDeaths) {
   EXPECT_GT(served.stats.lease_expirations, 0u);
 }
 
-TEST(WorkerSlotsOverLoopback, FaultyRunProducesSameResultsAsCleanRun) {
+TEST(WorkerSlotsOverSockets, FaultyRunProducesSameResultsAsCleanRun) {
   // Results are deterministic functions of (task_id, payload), so the
   // result *set* must be identical no matter what the network does.
   const auto tasks = make_tasks(30);
@@ -166,7 +152,7 @@ TEST(WorkerSlotsOverLoopback, FaultyRunProducesSameResultsAsCleanRun) {
   }
 }
 
-TEST(WorkerSlotsOverLoopback, LargePayloadsRoundTrip) {
+TEST(WorkerSlotsOverSockets, LargePayloadsRoundTrip) {
   std::vector<TaskRecord> tasks;
   std::vector<std::uint8_t> big(100000);
   for (std::size_t i = 0; i < big.size(); ++i) {

@@ -42,7 +42,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 
 #include "core/app.hpp"
@@ -80,13 +79,6 @@ int main(int argc, char** argv) {
     net::ReconnectPolicy reconnect;
     reconnect.max_attempts = args.get_count("reconnect-attempts", 20);
     const net::Address server = net::Address::parse(connect_spec);
-    const dist::SlotTransportFactory make_client =
-        [&](std::size_t slot, const std::string& slot_name) {
-          dist::FaultSpec slot_faults = faults;
-          slot_faults.seed = dist::slot_seed(faults.seed, slot, slots);
-          return std::make_unique<net::Client>(server, slot_name,
-                                               slot_faults, reconnect);
-        };
     dist::WorkerLoopOptions options;
     options.name = name;
     options.death_probability = args.get_double("death", 0.0);
@@ -106,7 +98,10 @@ int main(int argc, char** argv) {
       };
     }
     const dist::WorkerLoopOutcome outcome =
-        dist::run_worker_slots(slots, make_client, executor, options,
+        dist::run_worker_slots(slots,
+                               net::slot_clients(server, faults, slots,
+                                                 reconnect),
+                               executor, options,
                                /*send_metrics_snapshot=*/true);
     std::cout << "phodis_worker " << outcome.final_name << ": executed "
               << outcome.tasks_executed << " tasks on " << slots
