@@ -88,6 +88,39 @@ TEST(KernelGolden, TwoLayerRadial) {
   EXPECT_EQ(run_hash(config, 10'000), 0xEE0ECC036420B21FULL);
 }
 
+// --- feature combinations: several per-interaction deposits at once ------
+
+TEST(KernelGolden, TwoLayerFluenceAndRadial) {
+  mc::KernelConfig config = two_layer_config();
+  config.tally.enable_fluence_grid = true;
+  config.tally.fluence_spec = mc::GridSpec::cube(40, 20.0, 40.0);
+  config.tally.enable_radial = true;
+  EXPECT_EQ(run_hash(config, 3'000), 0x435561D488CE805FULL);
+}
+
+TEST(KernelGolden, TwoLayerRadialDetectorAndPathGrid) {
+  mc::KernelConfig config = two_layer_config();
+  config.detector = mc::DetectorSpec{};
+  config.tally.enable_radial = true;
+  config.tally.enable_path_grid = true;
+  config.tally.path_spec = mc::GridSpec::cube(40, 40.0, 40.0);
+  EXPECT_EQ(run_hash(config, 3'000), 0xFAB378AAF3B4BBD1ULL);
+}
+
+// Fig. 4's all-paths picture: every grid, and the path grid takes every
+// photon's path, detected or not.
+TEST(KernelGolden, TwoLayerAllGridsDetectorRecordAllPaths) {
+  mc::KernelConfig config = two_layer_config();
+  config.detector = mc::DetectorSpec{};
+  config.tally.enable_fluence_grid = true;
+  config.tally.fluence_spec = mc::GridSpec::cube(40, 20.0, 40.0);
+  config.tally.enable_radial = true;
+  config.tally.enable_path_grid = true;
+  config.tally.path_spec = mc::GridSpec::cube(40, 40.0, 40.0);
+  config.record_all_paths = true;
+  EXPECT_EQ(run_hash(config, 3'000), 0xF12801C025115E08ULL);
+}
+
 TEST(KernelGolden, HeadModelProbabilistic) {
   mc::KernelConfig config;
   config.medium = mc::adult_head_model();
