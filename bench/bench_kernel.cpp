@@ -168,9 +168,14 @@ int main(int argc, char** argv) {
     if (packet) builds.assign(packet_isas.begin(), packet_isas.end());
     for (const std::optional<mc::PacketIsa>& isa : builds) {
       for (const auto& preset : presets) {
-        bench::PhotonRun run = preset.kernel.compiled_run();
+        bench::PhotonRun run = [&kernel = preset.kernel](
+                                   std::uint64_t photons,
+                                   util::Xoshiro256pp& rng,
+                                   mc::SimulationTally& tally) {
+          kernel.run(photons, rng, tally);
+        };
         if (isa) {
-          // The same work as CompiledRun, on this build: run, then
+          // The same work as Kernel::run, on this build: run, then
           // one registry flush.
           run = [&kernel = preset.kernel,
                  build = mc::packet_isa_build(*isa).run](

@@ -57,7 +57,7 @@ struct MeasureOptions {
 };
 
 /// Simulate `photons` into the tally from the stream: one kernel entry
-/// point (Kernel::CompiledRun, or one packet ISA build's run).
+/// point (Kernel::run, or one packet ISA build's run).
 using PhotonRun = std::function<void(std::uint64_t, util::Xoshiro256pp&,
                                      mc::SimulationTally&)>;
 

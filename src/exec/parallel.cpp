@@ -62,9 +62,7 @@ mc::SimulationTally ParallelKernelRunner::run(std::uint64_t photons,
   // `streams`/`tallies` vectors would false-share cache lines between
   // adjacent shards and erode the very speedup this subsystem exists
   // for (copying is bitwise-neutral — the post-run stream state is
-  // never read). The kernel's feature dispatch is resolved once here, so
-  // every shard enters the specialized photon loop directly.
-  const mc::Kernel::CompiledRun compiled = kernel_->compiled_run();
+  // never read).
   obs::Counter& shards_total = obs::registry().counter("exec_shards_total");
   const auto run_shard = [&](std::size_t s) {
     // The span and counter are out-of-band: the shard's RNG/tally work
@@ -76,7 +74,7 @@ mc::SimulationTally ParallelKernelRunner::run(std::uint64_t photons,
     span.arg("photons", std::to_string(shards[s]));
     util::Xoshiro256pp rng = streams[s];
     mc::SimulationTally tally = kernel_->make_tally();
-    compiled(shards[s], rng, tally);
+    kernel_->run(shards[s], rng, tally);
     tallies[s].emplace(std::move(tally));
     shards_total.inc();
   };

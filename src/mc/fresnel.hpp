@@ -5,7 +5,7 @@
 //
 // fresnel() is defined inline here: it runs on every interface crossing of
 // the photon loop, and keeping the definition visible lets the compiler
-// fold it into the kernel's specialized loop without LTO.
+// fold it into the kernel's photon loop without LTO.
 #pragma once
 
 #include <algorithm>

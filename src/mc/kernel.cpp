@@ -91,19 +91,13 @@ SimulationTally Kernel::make_tally() const {
   return SimulationTally(config_.tally);
 }
 
-void Kernel::run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
-                 SimulationTally& tally) const {
-  CompiledRun(this, select_sim_fn(tally))(photon_count, rng, tally);
-}
-
 PhotonTrace Kernel::trace(util::Xoshiro256pp& rng,
                           std::size_t max_vertices) const {
   SimulationTally scratch = make_tally();
   KernelStats uncounted;
   PathRecorder recorder;
   PhotonTrace result;
-  (this->*select_sim_fn(scratch))(rng, scratch, uncounted, recorder, &result,
-                                  max_vertices);
+  simulate_one(rng, scratch, uncounted, recorder, &result, max_vertices);
   return result;
 }
 
@@ -145,47 +139,40 @@ void KernelStats::flush() const {
   }
 }
 
-void Kernel::CompiledRun::operator()(std::uint64_t photon_count,
-                                     util::Xoshiro256pp& rng,
-                                     SimulationTally& tally) const {
+void Kernel::run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
+                 SimulationTally& tally) const {
   // One mode test and one registry flush per shard call (thousands of
   // photons), so neither costs the photon loops anything measurable and
   // the shard executors need no mode or counter plumbing of their own.
   KernelStats stats;
-  if (kernel_->config_.mode == KernelMode::kPacket) {
-    run_packet(*kernel_, photon_count, rng, tally, stats);
+  if (config_.mode == KernelMode::kPacket) {
+    run_packet(*this, photon_count, rng, tally, stats);
   } else {
     PathRecorder recorder;
     for (std::uint64_t i = 0; i < photon_count; ++i) {
-      (kernel_->*fn_)(rng, tally, stats, recorder, nullptr, 0);
+      simulate_one(rng, tally, stats, recorder, nullptr, 0);
     }
   }
   stats.flush();
-}
-
-Kernel::CompiledRun Kernel::compiled_run() const noexcept {
-  return CompiledRun(this, select_sim_fn_from_config());
 }
 
 // ---------------------------------------------------------------------------
 // The scalar photon loop: its schedule (hop, absorbed weight, scattering)
 // around the shared operators of mc/physics.hpp.
 //
-// BITWISE-IDENTITY CONTRACT: every specialization must draw the same rng
-// sequence and evaluate the same FP expressions, in the same order, as the
-// reference single-loop kernel this replaced (pre-compiled-path history;
-// pinned by tests/test_kernel_golden.cpp). Rules applied below:
+// BITWISE-IDENTITY CONTRACT: the loop must draw the same rng sequence and
+// evaluate the same FP expressions, in the same order, as the reference
+// single-loop kernel (pre-compiled-path history; pinned by
+// tests/test_kernel_golden.cpp). Rules applied below:
 //  * cached per-layer scalars (lz0..lg) hold the same doubles the Layer
 //    struct held — caching is a load-elimination, not a re-derivation;
 //  * s/µt and W·µa/µt keep their divisions (multiplying by a precomputed
 //    inverse rounds differently);
 //  * the boundary-distance filter and the one-compare TIR test only
 //    short-circuit work whose outcome is proven, never approximate it;
-//  * the per-interaction deposit blocks compile away (if constexpr) when
-//    their grid is absent; the rare paths (exterior crossings, exits,
-//    trace capture) test runtime values instead, and the optical
-//    pathlength and scatter count are always accumulated — only a
-//    detection or a trace reads them.
+//  * the per-interaction deposits test whether their grid exists, and
+//    touch no draw either way; the optical pathlength and scatter count
+//    are always accumulated — only a detection or a trace reads them.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -198,28 +185,25 @@ namespace {
 
 }  // namespace
 
-template <bool F, bool R, bool P>
-void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
-                               SimulationTally& tally, KernelStats& stats,
-                               PathRecorder& recorder, PhotonTrace* trace_out,
-                               std::size_t max_vertices) const {
+void Kernel::simulate_one(util::Xoshiro256pp& rng, SimulationTally& tally,
+                          KernelStats& stats, PathRecorder& recorder,
+                          PhotonTrace* trace_out,
+                          std::size_t max_vertices) const {
   const CompiledMedium& medium = compiled_;
   PhotonPacket photon = source_.launch(rng);
   tally.count_launch();
   ++stats.photons_launched;
-  if constexpr (P) recorder.clear();
+  recorder.clear();
 
-  VoxelGrid3D* fluence = nullptr;
-  VoxelGrid3D* path_grid = nullptr;
-  if constexpr (F) fluence = tally.fluence_grid();
-  if constexpr (P) path_grid = tally.path_grid();
+  VoxelGrid3D* const fluence = tally.fluence_grid();
+  VoxelGrid3D* const path_grid = tally.path_grid();
   RadialTally* const radial = tally.radial();
   const DetectorSpec* const detector =
       config_.detector ? &*config_.detector : nullptr;
   // Register-resident scoring handle for the per-interaction radial
   // deposits (the rare exit-surface scores go through the tally).
   std::optional<RadialTally::Scorer> radial_scorer;
-  if constexpr (R) radial_scorer.emplace(*radial);
+  if (radial != nullptr) radial_scorer.emplace(*radial);
 
   const auto note_vertex = [&](const util::Vec3& p) {
     if (trace_out != nullptr) [[unlikely]] {
@@ -237,8 +221,11 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
   // returns true when the detector takes it. Out of line, like the trace
   // capture, and the exterior branch is [[unlikely]]: inline, these rare
   // paths took registers from the per-event path (about 5% slower on the
-  // bench_kernel presets, 4-core AVX-512 host).
-  const auto score_exit = [&](bool downward, double weight) [[gnu::noinline]] {
+  // bench_kernel presets, 4-core AVX-512 host). GCC ignores a
+  // [[gnu::noinline]] in this position outside a template, so the
+  // attribute is spelled the GNU way.
+  const auto score_exit = [&](bool downward,
+                              double weight) __attribute__((noinline)) {
     const double radius = util::fast_radius(photon.pos.x, photon.pos.y);
     if (downward) {
       score_exit_bottom(tally, radial, radius, weight);
@@ -248,9 +235,7 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
         score_exit_top(tally, radial, detector, photon.pos, radius,
                        photon.optical_pathlength, photon.scatter_events,
                        weight);
-    if constexpr (P) {
-      if (detected) recorder.commit(*path_grid);
-    }
+    if (detected && path_grid != nullptr) recorder.commit(*path_grid);
     return detected;
   };
   note_vertex(photon.pos);
@@ -384,14 +369,12 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
       const double dw = photon.weight * lmua / mut;
       photon.weight -= dw;
       tally.add_absorption(layer, dw);
-      if constexpr (F) {
-        fluence->deposit(photon.pos, dw);
-      }
-      if constexpr (R) {
+      if (fluence != nullptr) fluence->deposit(photon.pos, dw);
+      if (radial_scorer) {
         radial_scorer->absorption(
             util::fast_radius(photon.pos.x, photon.pos.y), photon.pos.z, dw);
       }
-      if constexpr (P) {
+      if (path_grid != nullptr) {
         // Unit deposits: the path grid counts *visit frequency* (the
         // paper's "most common paths taken by the photons"), so every
         // detected path contributes uniformly along its length instead of
@@ -422,40 +405,10 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
   note_final_state();
   stats.interactions += interactions;
   if (photon.fate == PhotonFate::kAbsorbed) ++stats.roulette_terminations;
-  if constexpr (P) {
-    if (config_.record_all_paths && photon.fate != PhotonFate::kDetected) {
-      recorder.commit(*path_grid);
-    }
+  if (path_grid != nullptr && config_.record_all_paths &&
+      photon.fate != PhotonFate::kDetected) {
+    recorder.commit(*path_grid);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch table: all 8 specializations, instantiated here in this TU. The
-// index bits are F << 2 | R << 1 | P, laid out in sim_fn_at alone so the
-// tally-derived and config-derived selectors cannot drift.
-// ---------------------------------------------------------------------------
-
-Kernel::SimFn Kernel::sim_fn_at(bool fluence, bool radial,
-                                bool path) noexcept {
-  static constexpr std::array<SimFn, 8> table =
-      []<std::size_t... I>(std::index_sequence<I...>) {
-        return std::array<SimFn, 8>{
-            &Kernel::simulate_one_impl<(I & 4) != 0, (I & 2) != 0,
-                                       (I & 1) != 0>...};
-      }(std::make_index_sequence<8>{});
-  return table[(fluence ? 4u : 0u) | (radial ? 2u : 0u) | (path ? 1u : 0u)];
-}
-
-Kernel::SimFn Kernel::select_sim_fn(const SimulationTally& tally)
-    const noexcept {
-  return sim_fn_at(tally.fluence_grid() != nullptr, tally.radial() != nullptr,
-                   tally.path_grid() != nullptr);
-}
-
-Kernel::SimFn Kernel::select_sim_fn_from_config() const noexcept {
-  return sim_fn_at(config_.tally.enable_fluence_grid,
-                   config_.tally.enable_radial,
-                   config_.tally.enable_path_grid);
 }
 
 }  // namespace phodis::mc

@@ -16,27 +16,22 @@
 // across layer boundaries, weight deposition W·µa/µt at interaction sites,
 // Henyey–Greenstein scattering, Fresnel boundaries, Russian roulette.
 //
-// Execution model (the compiled hot path): at construction the medium is
-// lowered into CompiledMedium SoA tables, and the photon loop exists as 8
-// template specializations — one per combination of the tally features
-// that guard per-interaction deposits (fluence grid, radial tally, path
-// grid). The boundary model, the detector and trace capture are runtime
-// values, read only on rare paths (exterior crossings, exits, trace
-// vertices). run() resolves the specialization once per call from a
-// dispatch table, so the common no-grids configuration executes a loop
-// with no tally-feature tests, no string-bearing Layer loads, and no
-// bounds checks — while producing bitwise-identical tallies to the
-// original single-loop kernel (enforced by tests/test_kernel_golden; sole
+// Execution model: at construction the medium is lowered into
+// CompiledMedium SoA tables, so the photon loop reads each layer's optics
+// with no string-bearing Layer loads and no bounds checks. The loop is
+// compiled once. It tests the tally's fluence grid, radial scorer and path
+// grid where they deposit, and reads the boundary model, the detector and
+// trace capture only on rare paths (exterior crossings, exits, trace
+// vertices). Its tallies are bitwise-identical to the original
+// single-loop kernel (enforced by tests/test_kernel_golden; sole
 // intentional exception: radial scoring radii moved from std::hypot to
 // util::fast_radius, a last-ulp change re-recorded in that test). The
 // per-event physics — entry, Fresnel crossing, refraction, exit scoring
 // and roulette — is the set of operators in mc/physics.hpp, shared with
 // the packet loop. Either loop counts its events into a run-local
-// KernelStats, which CompiledRun flushes into the obs registry once per
-// call.
+// KernelStats, which run() flushes into the obs registry once per call.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -74,7 +69,7 @@ std::string to_string(BoundaryModel model);
 
 /// Which photon loop executes a run.
 enum class KernelMode : std::uint8_t {
-  /// One photon at a time through the specialized scalar loop — the
+  /// One photon at a time through the scalar loop — the
   /// reference oracle, bitwise-pinned by tests/test_kernel_golden.cpp.
   /// Default everywhere.
   kScalar = 0,
@@ -152,9 +147,11 @@ class Kernel {
   /// Tally matching this kernel's configuration (layer count, grids).
   SimulationTally make_tally() const;
 
-  /// Simulate `photon_count` packets, accumulating into `tally`. The
-  /// specialized loop is selected once from the tally's enabled features.
-  /// Counts the run into the mc_kernel_* metrics, as CompiledRun does.
+  /// Simulate `photon_count` packets, accumulating into `tally`, with the
+  /// configured loop (scalar or packet), and count the run into the
+  /// mc_kernel_* metrics with one flush at the end of the call. Shard
+  /// executors launch thousands of these runs per task. The tally may have
+  /// any shape; the loop scores into whichever grids it has.
   void run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
            SimulationTally& tally) const;
 
@@ -173,51 +170,13 @@ class Kernel {
   const Source& source() const noexcept { return source_; }
 
  private:
-  /// Pointer to one photon-loop specialization.
-  using SimFn = void (Kernel::*)(util::Xoshiro256pp&, SimulationTally&,
-                                 KernelStats&, PathRecorder&, PhotonTrace*,
-                                 std::size_t) const;
-
- public:
-  /// A run entry with the feature dispatch pre-resolved from the kernel's
-  /// own tally configuration. Shard executors launch thousands of short
-  /// runs per task; this hoists the per-run specialization lookup out of
-  /// the shard loop. The Kernel must outlive the handle, and tallies
-  /// passed to operator() must have the shape of make_tally().
-  class CompiledRun {
-   public:
-    /// Runs the configured loop (scalar or packet) and flushes its
-    /// KernelStats into the registry once, at the end of the call.
-    void operator()(std::uint64_t photon_count, util::Xoshiro256pp& rng,
-                    SimulationTally& tally) const;
-
-   private:
-    friend class Kernel;
-    CompiledRun(const Kernel* kernel, SimFn fn) noexcept
-        : kernel_(kernel), fn_(fn) {}
-    const Kernel* kernel_;
-    SimFn fn_;
-  };
-
-  CompiledRun compiled_run() const noexcept;
-
- private:
-  /// The scalar photon loop, specialized at compile time on which
-  /// per-interaction deposits exist: F fluence grid, R radial tally, P
-  /// path grid. A non-null `trace_out` captures the trajectory without
-  /// changing any draw; `stats` counts the photon's events. Every
-  /// specialization reproduces the reference loop bit for bit — same rng
-  /// draw order, same FP expression order (see the golden test).
-  template <bool F, bool R, bool P>
-  void simulate_one_impl(util::Xoshiro256pp& rng, SimulationTally& tally,
-                         KernelStats& stats, PathRecorder& recorder,
-                         PhotonTrace* trace_out,
-                         std::size_t max_vertices) const;
-
-  /// Dispatch-table plumbing (table built in kernel.cpp).
-  static SimFn sim_fn_at(bool fluence, bool radial, bool path) noexcept;
-  SimFn select_sim_fn(const SimulationTally& tally) const noexcept;
-  SimFn select_sim_fn_from_config() const noexcept;
+  /// The scalar photon loop for one photon. A non-null `trace_out`
+  /// captures the trajectory without changing any draw; `stats` counts the
+  /// photon's events. It reproduces the reference loop bit for bit — same
+  /// rng draw order, same FP expression order (see the golden test).
+  void simulate_one(util::Xoshiro256pp& rng, SimulationTally& tally,
+                    KernelStats& stats, PathRecorder& recorder,
+                    PhotonTrace* trace_out, std::size_t max_vertices) const;
 
   KernelConfig config_;
   Source source_;

@@ -6,7 +6,7 @@
 // The samplers are defined inline here: they run once per photon
 // interaction (the single hottest call site in the program) and keeping
 // the definitions visible lets the compiler fold them into the kernel's
-// specialized loop without LTO.
+// photon loop without LTO.
 #pragma once
 
 #include <algorithm>

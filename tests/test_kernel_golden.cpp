@@ -1,13 +1,16 @@
 // Golden bitwise-regression guard for the compiled kernel hot path.
 //
 // The recorded hashes pin the kernel's serialized tally bytes — every
-// weight total, histogram bin, grid voxel — at a fixed seed, across every
-// template specialization of the photon loop (boundary models, grids,
-// detector, radial). They were recorded from the pre-compiled-path
-// reference kernel (PR 3 tree), except two_layer_radial, recorded when
-// the radial scorer moved from std::hypot to util::fast_radius (an
-// intentional last-ulp change; physics equality is covered by
-// test_radial's tolerance checks).
+// weight total, histogram bin, grid voxel — at a fixed seed, across the
+// photon loop's features: both boundary models, each per-interaction
+// grid (fluence, radial, path) alone and in combination, the detector,
+// record_all_paths, a layered head and an oblique source. They were
+// recorded from the pre-compiled-path reference kernel (PR 3 tree),
+// except two_layer_radial, recorded when the radial scorer moved from
+// std::hypot to util::fast_radius (an intentional last-ulp change;
+// physics equality is covered by test_radial's tolerance checks), and
+// the three feature-combination cases, recorded from the loop as it was
+// compiled once per grid combination, before it became one loop.
 //
 // If a future "optimization" changes any of these hashes, it changed the
 // physics stream: same-seed reproducibility across the distributed
@@ -55,7 +58,7 @@ mc::KernelConfig two_layer_config() {
   return config;
 }
 
-// --- serial goldens: one per loop specialization family ---------------------
+// --- serial goldens: one per loop feature -----------------------------------
 
 TEST(KernelGolden, TwoLayerProbabilistic) {
   EXPECT_EQ(run_hash(two_layer_config(), 10'000), 0x1CA835547D4A3A52ULL);
@@ -88,7 +91,7 @@ TEST(KernelGolden, TwoLayerRadial) {
   EXPECT_EQ(run_hash(config, 10'000), 0xEE0ECC036420B21FULL);
 }
 
-// --- feature combinations: several per-interaction deposits at once ------
+// --- feature combinations: several per-interaction deposits at once ---------
 
 TEST(KernelGolden, TwoLayerFluenceAndRadial) {
   mc::KernelConfig config = two_layer_config();
