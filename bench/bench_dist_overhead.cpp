@@ -30,9 +30,7 @@ int main(int argc, char** argv) {
   p.mus = 5.0;
   p.g = 0.8;
   p.n = 1.4;
-  mc::LayeredMediumBuilder builder;
-  builder.add_semi_infinite_layer("tissue", p);
-  spec.kernel.medium = builder.build();
+  spec.kernel.medium = mc::homogeneous_semi_infinite(p);
   spec.photons = photons;
   spec.seed = 2006;
   core::MonteCarloApp app(spec);

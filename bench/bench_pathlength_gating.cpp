@@ -13,6 +13,7 @@
 #include <limits>
 
 #include "core/app.hpp"
+#include "mc/presets.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -32,9 +33,7 @@ int main(int argc, char** argv) {
   p.mus = 10.0;
   p.g = 0.9;
   p.n = 1.4;
-  mc::LayeredMediumBuilder builder;
-  builder.add_semi_infinite_layer("tissue", p);
-  spec.kernel.medium = builder.build();
+  spec.kernel.medium = mc::homogeneous_semi_infinite(p);
   mc::DetectorSpec detector;
   detector.separation_mm = separation;
   detector.radius_mm = 2.0;

@@ -11,6 +11,7 @@
 #include "analysis/banana.hpp"
 #include "core/app.hpp"
 #include "core/experiments.hpp"
+#include "mc/presets.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -28,9 +29,7 @@ int main(int argc, char** argv) {
   auto make_spec = [&](double gate_lo, double gate_hi) {
     core::SimulationSpec spec = core::fig3_banana_spec(
         photons, 40, separation, 21);
-    mc::LayeredMediumBuilder builder;
-    builder.add_semi_infinite_layer("tissue", props);
-    spec.kernel.medium = builder.build();
+    spec.kernel.medium = mc::homogeneous_semi_infinite(props);
     spec.kernel.detector->gate.min_mm = gate_lo;
     spec.kernel.detector->gate.max_mm = gate_hi;
     return spec;

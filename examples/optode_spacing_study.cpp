@@ -14,6 +14,7 @@
 #include "analysis/diffusion.hpp"
 #include "core/app.hpp"
 #include "core/experiments.hpp"
+#include "mc/presets.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -42,9 +43,7 @@ int main(int argc, char** argv) {
   for (const double spacing : {5.0, 10.0, 15.0, 20.0, 25.0}) {
     core::SimulationSpec spec = core::fig3_banana_spec(
         photons, 40, spacing, static_cast<std::uint64_t>(spacing));
-    mc::LayeredMediumBuilder builder;
-    builder.add_semi_infinite_layer("tissue", props);
-    spec.kernel.medium = builder.build();
+    spec.kernel.medium = mc::homogeneous_semi_infinite(props);
 
     core::MonteCarloApp app(spec);
     const mc::SimulationTally tally = app.run_serial();
