@@ -357,9 +357,11 @@ TEST(SocketTransport, TornFrameCountsPeersButNotTheServersOwnShutdown) {
 /// period, so it takes a few milliseconds however long the server has
 /// idled: 8 trials idle 3..17 ms, one more shuts down at once. Each call
 /// records one observation of net_server_shutdown_seconds; the
-/// destructor's second call records none.
+/// destructor's second call records none. The bound is about twice the
+/// slowest shutdown measured beside a `ctest -j4` (19.3 ms over 3600),
+/// and below the 50 ms accept-poll period the wake-up replaced.
 void expect_prompt_shutdowns(const std::function<Address()>& make_address) {
-  constexpr double kBoundMs = 10.0;
+  constexpr double kBoundMs = 40.0;
   obs::Histogram& recorded = obs::registry().histogram(
       "net_server_shutdown_seconds", obs::Histogram::latency_bounds_s());
   const auto timed_shutdown = [&](int idle_ms) {
