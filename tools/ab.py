@@ -2,18 +2,20 @@
 """Paired A/B of one benchmark command on two commits.
 
 Exports the parent and the change commit into a scratch directory outside
-the repository (git archive), optionally builds CMake targets in each
-tree, then runs one command N times on each side. Pair i runs the parent
-first when i is even and the change first when i is odd, so a drift of
-the host over the session hits both sides alike. Each run's last stdout
-line must be perfbench-style JSON: {"correct": ..., "metrics": {...}}.
+the repository (git archive), then runs one command N times on each side.
+Pair i runs the parent first when i is even and the change first when i
+is odd, so a drift of the host over the session hits both sides alike.
+Each run's last stdout line must be perfbench-style JSON:
+{"correct": ..., "attempted": ..., "failed": ..., "metrics": {NAME:
+{"value": ..., "unit": ...}, ...}}.
 
-    tools/ab.py --parent d31c7ae --change 618c33d --pairs 10 -- \\
+    tools/ab.py --parent HEAD~1 --change HEAD --pairs 10 -- \\
         python3 perfbench/run.py --workload packet --seed 1 --seconds 10 --trace 0
 
 The command runs with the exported tree as its working directory. One
-unrecorded warm-up run per side comes first; for perfbench it is the run
-that builds the benchmark binaries into the tree's .bench_build/.
+unrecorded warm-up run per side comes first: for perfbench it is the run
+that builds each tree's binaries with CMake (into its .bench_build/).
+Pass --workdir to keep the trees, and their builds, for a later call.
 
 For every metric the tool prints each pair's values, both medians and
 Q1-Q3, and how many pairs the change won, then one verdict:
@@ -29,12 +31,13 @@ Which direction is better, and the bound, come from BENCHMARK.json's
 "end_to_end" and "per_layer" lists in the change's tree; a metric listed
 in neither is printed without a verdict. Exit status: 0 when every run
 was correct and no metric is a regression or over its bound, 1 otherwise,
-2 on a usage or build error.
+2 on a usage error.
 
     tools/ab.py --self-test     checks the verdict rule on fixed numbers
 """
 
 import argparse
+import io
 import json
 import math
 import subprocess
@@ -80,7 +83,7 @@ def verdict(parent, change, better, bound=None):
 def self_test():
     lower = "lower"
     parent = [106, 105, 106, 105.5, 106.2, 105.3, 106.1, 105.8, 105.9, 106.0]
-    # PR 22's packet shape: 10/10 wins, gap far beyond the parent's IQR.
+    # 10/10 wins, and a gap far beyond the parent's IQR.
     assert verdict(parent, [71, 70, 72, 69, 74, 71, 70, 73, 71, 72], lower) == "gain"
     # The same numbers read the other way round are a regression.
     assert verdict([71, 70, 72, 69, 74, 71, 70, 73, 71, 72], parent, lower) == "regression"
@@ -115,34 +118,22 @@ def export(repo, rev, dest):
     """Write the tree of `rev` into `dest` (no worktree or index touched)."""
     archive = git(repo, "archive", "--format=tar", rev, stdout=subprocess.PIPE).stdout
     dest.mkdir(parents=True)
-    with tempfile.TemporaryFile() as tmp:
-        tmp.write(archive)
-        tmp.seek(0)
-        with tarfile.open(fileobj=tmp) as tar:
-            tar.extractall(dest)
-
-
-def build(tree, targets, jobs):
-    build_dir = tree / "build"
-    steps = [["cmake", "-S", str(tree), "-B", str(build_dir), "-DCMAKE_BUILD_TYPE=Release"],
-             ["cmake", "--build", str(build_dir), "-j", str(jobs), "--target", *targets]]
-    for step in steps:
-        if subprocess.run(step, stdout=sys.stderr, stderr=sys.stderr).returncode != 0:
-            sys.exit(f"ab.py: build step failed in {tree}: {' '.join(step)}")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
 
 
 def run_once(tree, command):
-    """Run the command in `tree`; returns (correct, metrics)."""
+    """Run the command in `tree`; returns (correct, result) where result
+    holds "metrics" as {name: value} and the "attempted"/"failed" counts."""
     proc = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        return False, {}
-    metrics = {k: float(v) for k, v in result.get("metrics", {}).items()
-               if isinstance(v, (int, float))}
-    return proc.returncode == 0 and result.get("correct") is True, metrics
+        result["metrics"] = {k: float(v["value"]) for k, v in result["metrics"].items()}
+    except (IndexError, KeyError, TypeError, ValueError):
+        return False, {"metrics": {}}
+    return proc.returncode == 0 and result.get("correct") is True, result
 
 
 def load_metric_specs(tree):
@@ -167,11 +158,8 @@ def main():
     parser.add_argument("--change", help="commit under test")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workdir", type=Path,
-                        help="scratch directory for the exported trees "
-                             "(default: a new temporary directory)")
-    parser.add_argument("--target", action="append", default=[],
-                        help="CMake target to build in each tree's build/ (repeatable)")
-    parser.add_argument("--jobs", type=int, default=4)
+                        help="scratch directory for the exported trees, kept "
+                             "(default: a temporary directory, removed at exit)")
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args()
     if args.self_test:
@@ -182,9 +170,15 @@ def main():
         return 2
 
     repo = Path(__file__).resolve().parent.parent
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="phodis-ab-"))
-    if workdir.resolve().is_relative_to(repo):
-        sys.exit("ab.py: --workdir must lie outside the repository")
+    if args.workdir:
+        if args.workdir.resolve().is_relative_to(repo):
+            sys.exit("ab.py: --workdir must lie outside the repository")
+        return run_pairs(repo, args.workdir, args, command)
+    with tempfile.TemporaryDirectory(prefix="phodis-ab-") as workdir:
+        return run_pairs(repo, Path(workdir), args, command)
+
+
+def run_pairs(repo, workdir, args, command):
     sides = {}
     for name, rev in (("parent", args.parent), ("change", args.change)):
         sha = git(repo, "rev-parse", "--verify", rev + "^{commit}",
@@ -192,8 +186,6 @@ def main():
         tree = workdir / f"{name}-{sha[:12]}"
         if not tree.exists():
             export(repo, sha, tree)
-        if args.target:
-            build(tree, args.target, args.jobs)
         sides[name] = tree
         print(f"{name}: {rev} ({sha[:12]}) in {tree}", file=sys.stderr)
 
@@ -202,13 +194,16 @@ def main():
             print(f"ab.py: warm-up run on the {name} side was not correct", file=sys.stderr)
 
     values = {"parent": [], "change": []}
+    operations = {"parent": [0, 0], "change": [0, 0]}  # failed, attempted
     incorrect = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
-            correct, metrics = run_once(sides[name], command)
+            correct, result = run_once(sides[name], command)
             incorrect += not correct
-            values[name].append(metrics)
+            values[name].append(result["metrics"])
+            operations[name][0] += result.get("failed", 0)
+            operations[name][1] += result.get("attempted", 0)
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
     specs = load_metric_specs(sides["change"])
@@ -216,6 +211,8 @@ def main():
     flagged = 0
     print(f"{args.pairs} pairs of: {' '.join(command)}")
     print(f"runs not correct: {incorrect} of {2 * args.pairs}")
+    for name, (failed, attempted) in operations.items():
+        print(f"{name} operations failed: {failed} of {attempted}")
     for metric in names:
         p = [m.get(metric) for m in values["parent"]]
         c = [m.get(metric) for m in values["change"]]
