@@ -44,6 +44,7 @@
 // enough to threshold on a 1-core CI runner.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -168,12 +169,8 @@ int main(int argc, char** argv) {
     if (packet) builds.assign(packet_isas.begin(), packet_isas.end());
     for (const std::optional<mc::PacketIsa>& isa : builds) {
       for (const auto& preset : presets) {
-        bench::PhotonRun run = [&kernel = preset.kernel](
-                                   std::uint64_t photons,
-                                   util::Xoshiro256pp& rng,
-                                   mc::SimulationTally& tally) {
-          kernel.run(photons, rng, tally);
-        };
+        bench::PhotonRun run = std::bind_front(&mc::Kernel::run,
+                                               &preset.kernel);
         if (isa) {
           // The same work as Kernel::run, on this build: run, then
           // one registry flush.

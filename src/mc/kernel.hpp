@@ -149,9 +149,8 @@ class Kernel {
 
   /// Simulate `photon_count` packets, accumulating into `tally`, with the
   /// configured loop (scalar or packet), and count the run into the
-  /// mc_kernel_* metrics with one flush at the end of the call. Shard
-  /// executors launch thousands of these runs per task. The tally may have
-  /// any shape; the loop scores into whichever grids it has.
+  /// mc_kernel_* metrics with one flush at the end of the call. The
+  /// scalar loop scores into whichever grids `tally` has.
   void run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
            SimulationTally& tally) const;
 
