@@ -5,7 +5,7 @@
 // photon loop's features: both boundary models, each per-interaction
 // grid (fluence, radial, path) alone and in combination, the detector,
 // record_all_paths, a layered head and an oblique source. They were
-// recorded from the pre-compiled-path reference kernel (PR 3 tree),
+// recorded from the pre-compiled-path reference kernel,
 // except two_layer_radial, recorded when the radial scorer moved from
 // std::hypot to util::fast_radius (an intentional last-ulp change;
 // physics equality is covered by test_radial's tolerance checks), and

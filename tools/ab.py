@@ -4,7 +4,7 @@
 Exports the parent and the change commit into a scratch directory outside
 the repository (git archive), then runs one command N times on each side.
 Pair i runs the parent first when i is even and the change first when i
-is odd, so a drift of the host over the session hits both sides alike.
+is odd, so a drift of the host during the run hits both sides alike.
 Each run's last stdout line must be perfbench-style JSON:
 {"correct": ..., "attempted": ..., "failed": ..., "metrics": {NAME:
 {"value": ..., "unit": ...}, ...}}.
