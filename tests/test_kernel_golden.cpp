@@ -5,12 +5,12 @@
 // photon loop's features: both boundary models, each per-interaction
 // grid (fluence, radial, path) alone and in combination, the detector,
 // record_all_paths, a layered head and an oblique source. They were
-// recorded from the pre-compiled-path reference kernel,
-// except two_layer_radial, recorded when the radial scorer moved from
-// std::hypot to util::fast_radius (an intentional last-ulp change;
-// physics equality is covered by test_radial's tolerance checks), and
-// the three feature-combination cases, recorded from the loop as it was
-// compiled once per grid combination, before it became one loop.
+// recorded from the pre-compiled-path reference kernel, except
+// two_layer_radial, recorded when the radial scorer moved from std::hypot
+// to util::fast_radius (an intentional last-ulp change; physics equality
+// is covered by test_radial's tolerance checks), and the three
+// feature-combination cases, recorded just before the loop, until then
+// compiled once per grid combination, was compiled as one.
 //
 // If a future "optimization" changes any of these hashes, it changed the
 // physics stream: same-seed reproducibility across the distributed
