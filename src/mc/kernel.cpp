@@ -161,9 +161,9 @@ void Kernel::run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
 // around the shared operators of mc/physics.hpp.
 //
 // BITWISE-IDENTITY CONTRACT: the loop must draw the same rng sequence and
-// evaluate the same FP expressions, in the same order, as the reference
-// single-loop kernel (pre-compiled-path history; pinned by
-// tests/test_kernel_golden.cpp). Rules applied below:
+// evaluate the same FP expressions, in the same order, as the loop the
+// goldens were recorded from (tests/test_kernel_golden.cpp; its header
+// lists the documented re-records). Rules applied below:
 //  * cached per-layer scalars (lz0..lg) hold the same doubles the Layer
 //    struct held — caching is a load-elimination, not a re-derivation;
 //  * s/µt and W·µa/µt keep their divisions (multiplying by a precomputed

@@ -73,8 +73,9 @@ enum class KernelMode : std::uint8_t {
   /// reference oracle, bitwise-pinned by tests/test_kernel_golden.cpp.
   /// Default everywhere.
   kScalar = 0,
-  /// kPacketWidth photons marched in SoA lanes with vectorized
-  /// log/sincos (mc/packet_kernel.*). Deliberately NOT bitwise-equal to
+  /// kPacketWidth photons marched in SoA lanes with a vectorized step
+  /// log and the scalar loop's azimuth and rotation operators applied
+  /// per lane (mc/packet_kernel.*). Deliberately NOT bitwise-equal to
   /// scalar: it has its own golden hashes (self-reproducible at any
   /// thread count) and is statistically equivalent to scalar within
   /// Monte Carlo error (tests/test_packet_kernel.cpp).

@@ -16,10 +16,11 @@
 //      via u_evt), absorption deposits, roulette,
 //      death + refill from the photon stream           [scalar]
 //
-// Steps 1–3 and the deposit arithmetic are this loop's own schedule; the
-// per-lane physics of step 4 (entry at refill, the interface crossing,
-// exit and detector scoring, roulette) is the operator set of
-// mc/physics.hpp, shared with the scalar loop.
+// Steps 1–3 and the deposit arithmetic are this loop's own schedule, but
+// step 3 turns each lane with the scalar loop's operators, sincos_2pi and
+// rotate; the per-lane physics of step 4 (entry at refill, the interface
+// crossing, exit and detector scoring, roulette) is likewise the operator
+// set of mc/physics.hpp.
 //
 // Every lane consumes the same three draws per iteration from its own
 // sub-stream whether its event is an interaction (uses all three) or a
@@ -394,37 +395,13 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
     vsincos_2pi(u_phi, sphi, cphi, W);
     lanes_hg_cosine(p, u_evt, hg_ct, hg_st);
     for (std::size_t i = 0; i < W; ++i) {
-      const double xo = p.ux[i], yo = p.uy[i], zo = p.uz[i];
-      const double ct = hg_ct[i], st = hg_st[i];
-      const double cp = cphi[i], sp = sphi[i];
-      const bool vert = std::abs(zo) > 1.0 - 1e-10;
-      double tempsq = 1.0 - zo * zo;
-      tempsq = tempsq < 0.0 ? 0.0 : tempsq;
-      const double temp = std::sqrt(tempsq);
-      const double inv_temp = 1.0 / temp;  // inf when vert; discarded
-      const double gx = st * (xo * zo * cp - yo * sp) * inv_temp + xo * ct;
-      const double gy = st * (yo * zo * cp + xo * sp) * inv_temp + yo * ct;
-      const double gz = -st * cp * temp + zo * ct;
-      const double vx = st * cp;
-      const double vy = st * sp;
-      const double vz = zo > 0.0 ? ct : -ct;
-      double nx = vert ? vx : gx;
-      double ny = vert ? vy : gy;
-      double nz = vert ? vz : gz;
-      // Renormalisation by one Newton step for 1/sqrt at nsq ~= 1: the
-      // rotation of a unit vector keeps nsq = 1 + eps with |eps| at
-      // rounding level, where 0.5*(3 - nsq) = 1/sqrt(nsq) + O(eps^2) —
-      // an error of ~1e-31, far below one ulp of the result. Buys back a
-      // vector sqrt + divide per event on the divider port.
-      const double nsq = nx * nx + ny * ny + nz * nz;
-      const double inv_norm = 0.5 * (3.0 - nsq);
-      nx *= inv_norm;
-      ny *= inv_norm;
-      nz *= inv_norm;
+      const util::Vec3 old{p.ux[i], p.uy[i], p.uz[i]};
+      const util::Vec3 turned =
+          rotate(old, hg_ct[i], hg_st[i], cphi[i], sphi[i]);
       const bool scatter = (p.active[i] & (p.cross[i] ^ 1ULL)) != 0;
-      p.ux[i] = scatter ? nx : xo;
-      p.uy[i] = scatter ? ny : yo;
-      p.uz[i] = scatter ? nz : zo;
+      p.ux[i] = scatter ? turned.x : old.x;
+      p.uy[i] = scatter ? turned.y : old.y;
+      p.uz[i] = scatter ? turned.z : old.z;
     }
 
     // Batched event accounting + deposit arithmetic. Lanes that blow the

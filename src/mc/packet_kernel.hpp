@@ -3,13 +3,13 @@
 // transcendentals (log for step sampling, sincos for the azimuth)
 // evaluated lane-parallel through mc/vmath.hpp. See packet_kernel.cpp for
 // the loop schedule and the determinism argument. Its per-lane physics
-// (entry, interface crossing, exits and detector, roulette) is the
-// operator set of mc/physics.hpp, shared with the scalar loop; the
-// contract in brief:
+// (entry, azimuth and rotation, interface crossing, exits and detector,
+// roulette) is the operator set of mc/physics.hpp, shared with the scalar
+// loop; the contract in brief:
 //
-//  * NOT bitwise-equal to the scalar loop (different libm, different draw
-//    schedule, different step and deposit arithmetic). It has its own
-//    golden hashes and is tied to the scalar reference by the
+//  * NOT bitwise-equal to the scalar loop (a different step log, draw
+//    schedule, HG and deposit arithmetic, and 52-bit uniforms). It has
+//    its own golden hashes and is tied to the scalar reference by the
 //    statistical-equivalence test below.
 //  * Deterministic in itself: the tally produced for a given (config,
 //    photon_count, rng state) is identical across thread counts, build

@@ -11,8 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
+#include "mc/physics.hpp"
 #include "util/rng.hpp"
 #include "util/vec3.hpp"
 
@@ -35,33 +35,16 @@ inline double sample_hg_cosine(double g, util::Xoshiro256pp& rng) noexcept {
 /// by the analysis module, not by the kernel hot path.
 double hg_pdf(double g, double cos_theta) noexcept;
 
-/// Rotate the unit direction `dir` by polar angle θ (given as cos θ) and a
-/// uniformly random azimuth φ, using the standard direction-cosine update
-/// (special-cased near |dir.z| = 1 where the general formula degenerates).
+/// Turn the unit direction `dir` by polar angle θ (given as cos θ) and an
+/// azimuth φ drawn uniformly from `rng`, through the operators the packet
+/// loop applies per lane: sincos_2pi for φ and rotate for the
+/// direction-cosine update (mc/physics.hpp).
 inline util::Vec3 deflect(const util::Vec3& dir, double cos_theta,
                           util::Xoshiro256pp& rng) noexcept {
   const double sin_theta =
       std::sqrt(std::max(0.0, 1.0 - cos_theta * cos_theta));
-  const double phi = 2.0 * std::numbers::pi * rng.uniform();
-  const double cos_phi = std::cos(phi);
-  const double sin_phi = std::sin(phi);
-
-  if (std::abs(dir.z) > 1.0 - 1e-10) {
-    // Travelling (anti)parallel to z: the generic update divides by
-    // sqrt(1 - dir.z^2) ~ 0, so use the axis-aligned form.
-    return {sin_theta * cos_phi, sin_theta * sin_phi,
-            cos_theta * (dir.z > 0.0 ? 1.0 : -1.0)};
-  }
-
-  const double temp = std::sqrt(1.0 - dir.z * dir.z);
-  util::Vec3 out;
-  out.x = sin_theta * (dir.x * dir.z * cos_phi - dir.y * sin_phi) / temp +
-          dir.x * cos_theta;
-  out.y = sin_theta * (dir.y * dir.z * cos_phi + dir.x * sin_phi) / temp +
-          dir.y * cos_theta;
-  out.z = -sin_theta * cos_phi * temp + dir.z * cos_theta;
-  // Renormalise to stop round-off drift accumulating over ~10^4 scatters.
-  return out.normalized();
+  const SinCos phi = sincos_2pi(rng.uniform());
+  return rotate(dir, cos_theta, sin_theta, phi.cos, phi.sin);
 }
 
 /// Full scattering step: sample HG polar angle for anisotropy g and a

@@ -4,15 +4,17 @@
 // scoped in CMakeLists.txt, into the namespace PHODIS_PACKET_ISA names;
 // the loops are written as straight-line per-lane arithmetic with
 // branchless selects so the auto-vectorizer turns each into a handful of
-// vector ops.
+// vector ops. vsincos_2pi is the shared operator mc::sincos_2pi per lane.
 //
-// The polynomials and reduction constants are the public-domain fdlibm
+// The log polynomial and reduction constants are the public-domain fdlibm
 // ones (Sun Microsystems, via glibc/musl); re-derived coefficients would
 // buy nothing and cost the known error bounds.
 #include "mc/vmath.hpp"
 
 #include <bit>
 #include <cstdint>
+
+#include "mc/physics.hpp"
 
 #if !defined(PHODIS_PACKET_ISA)
 // Built once per PacketIsa: PHODIS_PACKET_ISA names the build's namespace.
@@ -34,30 +36,6 @@ constexpr double kLg5 = 1.818357216161805012e-01;
 constexpr double kLg6 = 1.531383769920937332e-01;
 constexpr double kLg7 = 1.479819860511658591e-01;
 constexpr double kSqrt2 = 1.41421356237309514547462185873883;  // 2^0.5, +1ulp
-
-// k_sin / k_cos minimax coefficients on [-pi/4, pi/4] (fdlibm).
-constexpr double kS1 = -1.66666666666666324348e-01;
-constexpr double kS2 = 8.33333333332248946124e-03;
-constexpr double kS3 = -1.98412698298579493134e-04;
-constexpr double kS4 = 2.75573137070700676789e-06;
-constexpr double kS5 = -2.50507602534068634195e-08;
-constexpr double kS6 = 1.58969099521155010221e-10;
-constexpr double kC1 = 4.16666666666666019037e-02;
-constexpr double kC2 = -1.38888888888741095749e-03;
-constexpr double kC3 = 2.48015872894767294178e-05;
-constexpr double kC4 = -2.75573143513906633035e-07;
-constexpr double kC5 = 2.08757232129817482790e-09;
-constexpr double kC6 = -1.13596475577881948265e-11;
-
-// pi/2 split so theta = r*hi + r*lo keeps the quadrant residual accurate
-// to ~2^-60 without a double-double multiply.
-constexpr double kPio2Hi = 1.57079632679489655800e+00;
-constexpr double kPio2Lo = 6.12323399573676603587e-17;
-
-// Adding 2^52 + 2^51 forces round-to-nearest-even to the integer in the
-// low mantissa bits — the classic branch-free double -> int round for
-// values well inside +-2^51.
-constexpr double kRoundMagic = 6755399441055744.0;
 
 }  // namespace
 
@@ -97,27 +75,9 @@ void vlog(const double* x, double* out, std::size_t n) noexcept {
 void vsincos_2pi(const double* u, double* sin_out, double* cos_out,
                  std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
-    const double a = 4.0 * u[i];  // quadrant coordinate in [0, 4]
-    const double biased = a + kRoundMagic;
-    const std::uint64_t q = std::bit_cast<std::uint64_t>(biased);
-    const double r = a - (biased - kRoundMagic);  // in [-0.5, 0.5]
-    const double theta = r * kPio2Hi + r * kPio2Lo;
-
-    const double z = theta * theta;
-    const double sp =
-        kS1 + z * (kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6))));
-    const double s = theta + theta * z * sp;
-    const double cp =
-        kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6))));
-    const double c = 1.0 - 0.5 * z + z * z * cp;
-
-    // Quadrant rotation: q odd swaps sin/cos; the sign patterns follow
-    // sin(x + q*pi/2), cos(x + q*pi/2).
-    const bool swap = (q & 1) != 0;
-    const double ss = swap ? c : s;
-    const double cc = swap ? s : c;
-    sin_out[i] = (q & 2) != 0 ? -ss : ss;
-    cos_out[i] = ((q + 1) & 2) != 0 ? -cc : cc;
+    const SinCos phi = sincos_2pi(u[i]);
+    sin_out[i] = phi.sin;
+    cos_out[i] = phi.cos;
   }
 }
 

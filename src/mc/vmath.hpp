@@ -1,34 +1,33 @@
 // Vectorizable transcendentals for the packet kernel (KernelMode::kPacket).
 //
-// The scalar kernel's throughput ceiling is the latency chain through
-// glibc's log/sincos — bitwise-pinned, correctly-rounded, and serial. The
-// packet kernel marches kPacketWidth photons in SoA lanes, so it can
-// afford polynomial approximations evaluated lane-parallel: plain loops
-// over fixed-width arrays that gcc auto-vectorizes at -O3 with the
-// relaxed-FP flags scoped to vmath.cpp / packet_kernel.cpp (see
-// CMakeLists.txt). No intrinsics: the data layout does the work, and the
-// same source is built once per PacketIsa (packet_kernel.hpp) — today an
-// AVX2 and an AVX-512 build — each into its own namespace below.
+// The packet kernel marches kPacketWidth photons in SoA lanes, so it
+// evaluates its per-event transcendentals lane-parallel: plain loops over
+// fixed-width arrays that gcc auto-vectorizes at -O3 with the relaxed-FP
+// flags scoped to vmath.cpp / packet_kernel.cpp (see CMakeLists.txt). No
+// intrinsics: the data layout does the work, and the same source is built
+// once per PacketIsa (packet_kernel.hpp), today an AVX2 and an AVX-512
+// build, each into its own namespace below.
 //
 // Accuracy contract (verified by tests/test_packet_kernel.cpp):
 //  * vlog:        fdlibm-style argument reduction + degree-7 series in
 //                 s = (m-1)/(m+1). Max error <= 4 ulp vs std::log over
 //                 (0, 1] (measured ~1 ulp); callers feed it exponential
 //                 step sampling, where 1e-15 relative error is ~9 orders
-//                 below the Monte Carlo noise floor.
-//  * vsincos_2pi: sin/cos of 2*pi*u for u in [0, 1), via round-to-nearest
-//                 quadrant reduction and fdlibm k_sin/k_cos minimax
-//                 polynomials on [-pi/4, pi/4]. Max ABSOLUTE error
-//                 <= 2^-50 (~9e-16; measured ~2e-16). Near the zeros of
-//                 sin/cos the *relative* error is unbounded, which is
-//                 irrelevant for sampling azimuthal directions.
+//                 below the Monte Carlo noise floor. The scalar loop keeps
+//                 glibc's log.
+//  * vsincos_2pi: mc::sincos_2pi (mc/physics.hpp) per lane, the azimuth
+//                 operator the scalar loop calls once per interaction:
+//                 sin/cos of 2*pi*u for u in [0, 1) within 2^-50 absolute
+//                 (measured ~2e-16). Near the zeros of sin/cos the
+//                 *relative* error is unbounded, which is irrelevant for
+//                 sampling azimuthal directions. Every build returns the
+//                 scalar operator's bits.
 //
 // Determinism contract: every polynomial is fixed-order Horner and the
 // TUs are built with -ffp-contract=off, so results are identical IEEE
 // doubles whether the loop was vectorized (at either ISA's register
-// width), unrolled, or run under a sanitizer — the packet golden hashes
-// hold across the whole build matrix and across ISA builds, they are
-// just not the glibc-rounded values the scalar mode pins.
+// width), unrolled, or run under a sanitizer: the packet golden hashes
+// hold across the whole build matrix and across ISA builds.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +46,7 @@ inline constexpr std::size_t kPacketWidth = 8;
 //   handling: the caller feeds uniform_open0() draws, which are >= 2^-53).
 //
 // vsincos_2pi: sin_out[i] = sin(2*pi*u[i]), cos_out[i] = cos(2*pi*u[i])
-//   for u in [0, 1). Sampling the azimuth directly from the unit draw
-//   skips the 2*pi multiply AND glibc's generic payne-hanek reduction: the
-//   quadrant is exact (4u rounded to nearest int) and the residual angle
-//   is |theta| <= pi/4 by construction.
+//   for u in [0, 1), as mc::sincos_2pi(u[i]) returns them.
 
 namespace isa_avx2 {
 void vlog(const double* x, double* out, std::size_t n) noexcept;

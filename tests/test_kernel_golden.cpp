@@ -1,21 +1,22 @@
 // Golden bitwise-regression guard for the compiled kernel hot path.
 //
-// The recorded hashes pin the kernel's serialized tally bytes — every
-// weight total, histogram bin, grid voxel — at a fixed seed, across the
-// photon loop's features: both boundary models, each per-interaction
-// grid (fluence, radial, path) alone and in combination, the detector,
-// record_all_paths, a layered head and an oblique source. They were
-// recorded from the pre-compiled-path reference kernel, except
-// two_layer_radial, recorded when the radial scorer moved from std::hypot
-// to util::fast_radius (an intentional last-ulp change; physics equality
-// is covered by test_radial's tolerance checks), and the three
-// feature-combination cases, recorded just before the loop, until then
-// compiled once per grid combination, was compiled as one.
+// The recorded hashes pin the kernel's serialized tally bytes — every weight
+// total, histogram bin, grid voxel — at a fixed seed, across the photon
+// loop's features: both boundary models, each per-interaction grid (fluence,
+// radial, path) alone and in combination, the detector, record_all_paths, a
+// layered head and an oblique source. Earlier documented re-records moved
+// the radial scorer from std::hypot to util::fast_radius and compiled the
+// loop once instead of once per grid combination. All hashes were last
+// re-recorded when the scalar scatter took the packet loop's azimuth and
+// rotation operators (mc::sincos_2pi, mc::rotate): an intentional last-bits
+// change in which no bin or photon fate moved, only the max-depth
+// histogram's moments and, under classical splitting, a few weight totals,
+// by at most a few tens of ulps.
 //
 // If a future "optimization" changes any of these hashes, it changed the
 // physics stream: same-seed reproducibility across the distributed
 // platform is broken, and the change must either be reverted or be an
-// intentional, documented re-record (like the fast_radius one above).
+// intentional, documented re-record like the ones above.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -61,20 +62,20 @@ mc::KernelConfig two_layer_config() {
 // --- serial goldens: one per loop feature -----------------------------------
 
 TEST(KernelGolden, TwoLayerProbabilistic) {
-  EXPECT_EQ(run_hash(two_layer_config(), 10'000), 0x1CA835547D4A3A52ULL);
+  EXPECT_EQ(run_hash(two_layer_config(), 10'000), 0xD2601B0E831DF46BULL);
 }
 
 TEST(KernelGolden, TwoLayerClassical) {
   mc::KernelConfig config = two_layer_config();
   config.boundary_model = mc::BoundaryModel::kClassical;
-  EXPECT_EQ(run_hash(config, 10'000), 0x8029075191C7F79DULL);
+  EXPECT_EQ(run_hash(config, 10'000), 0x85EAD242DDDA497FULL);
 }
 
 TEST(KernelGolden, TwoLayerFluenceGrid) {
   mc::KernelConfig config = two_layer_config();
   config.tally.enable_fluence_grid = true;
   config.tally.fluence_spec = mc::GridSpec::cube(40, 20.0, 40.0);
-  EXPECT_EQ(run_hash(config, 5'000), 0x52C9ED852FCB5C0EULL);
+  EXPECT_EQ(run_hash(config, 5'000), 0x293A30B2943BF8E4ULL);
 }
 
 TEST(KernelGolden, TwoLayerDetectorAndPathGrid) {
@@ -82,13 +83,13 @@ TEST(KernelGolden, TwoLayerDetectorAndPathGrid) {
   config.detector = mc::DetectorSpec{};  // 30 mm separation, 2.5 mm radius
   config.tally.enable_path_grid = true;
   config.tally.path_spec = mc::GridSpec::cube(40, 40.0, 40.0);
-  EXPECT_EQ(run_hash(config, 5'000), 0xA8740AC69D24F06AULL);
+  EXPECT_EQ(run_hash(config, 5'000), 0x2B64A66FF55DFC70ULL);
 }
 
 TEST(KernelGolden, TwoLayerRadial) {
   mc::KernelConfig config = two_layer_config();
   config.tally.enable_radial = true;
-  EXPECT_EQ(run_hash(config, 10'000), 0xEE0ECC036420B21FULL);
+  EXPECT_EQ(run_hash(config, 10'000), 0x8D8F20390344069EULL);
 }
 
 // --- feature combinations: several per-interaction deposits at once ---------
@@ -98,7 +99,7 @@ TEST(KernelGolden, TwoLayerFluenceAndRadial) {
   config.tally.enable_fluence_grid = true;
   config.tally.fluence_spec = mc::GridSpec::cube(40, 20.0, 40.0);
   config.tally.enable_radial = true;
-  EXPECT_EQ(run_hash(config, 3'000), 0x435561D488CE805FULL);
+  EXPECT_EQ(run_hash(config, 3'000), 0x9F6F0CC54DAB5E4AULL);
 }
 
 TEST(KernelGolden, TwoLayerRadialDetectorAndPathGrid) {
@@ -107,7 +108,7 @@ TEST(KernelGolden, TwoLayerRadialDetectorAndPathGrid) {
   config.tally.enable_radial = true;
   config.tally.enable_path_grid = true;
   config.tally.path_spec = mc::GridSpec::cube(40, 40.0, 40.0);
-  EXPECT_EQ(run_hash(config, 3'000), 0xFAB378AAF3B4BBD1ULL);
+  EXPECT_EQ(run_hash(config, 3'000), 0x5F3BF6FBB936B1E8ULL);
 }
 
 // Fig. 4's all-paths picture: every grid, and the path grid takes every
@@ -121,13 +122,13 @@ TEST(KernelGolden, TwoLayerAllGridsDetectorRecordAllPaths) {
   config.tally.enable_path_grid = true;
   config.tally.path_spec = mc::GridSpec::cube(40, 40.0, 40.0);
   config.record_all_paths = true;
-  EXPECT_EQ(run_hash(config, 3'000), 0xF12801C025115E08ULL);
+  EXPECT_EQ(run_hash(config, 3'000), 0x0B0D8C52074F5051ULL);
 }
 
 TEST(KernelGolden, HeadModelProbabilistic) {
   mc::KernelConfig config;
   config.medium = mc::adult_head_model();
-  EXPECT_EQ(run_hash(config, 2'000), 0x2B3CE955E7458B92ULL);
+  EXPECT_EQ(run_hash(config, 2'000), 0xDD8EAC21C8EF6843ULL);
 }
 
 TEST(KernelGolden, WhiteMatterDivergingGaussianSource) {
@@ -136,7 +137,7 @@ TEST(KernelGolden, WhiteMatterDivergingGaussianSource) {
   config.source.type = mc::SourceType::kGaussian;
   config.source.radius_mm = 1.0;
   config.source.half_angle_deg = 15.0;  // oblique entry refraction
-  EXPECT_EQ(run_hash(config, 5'000), 0x99798E883FB7AFA8ULL);
+  EXPECT_EQ(run_hash(config, 5'000), 0x48704649EBB96982ULL);
 }
 
 // --- sharded goldens: the parallel plan at 1/2/4/8 threads ------------------
@@ -147,7 +148,7 @@ TEST(KernelGolden, ShardPlanMatchesRecordedHashAtEveryThreadCount) {
   const exec::ParallelKernelRunner serial_runner(kernel, nullptr, 4096);
   const std::vector<std::uint8_t> serial_bytes =
       serial_runner.run(10'000, 42, 0).to_bytes();
-  EXPECT_EQ(fnv1a64(serial_bytes), 0x90D1E6BEE6A31A2DULL);
+  EXPECT_EQ(fnv1a64(serial_bytes), 0x59200E0D369C1792ULL);
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     exec::ThreadPool pool(threads);
