@@ -4,14 +4,15 @@
 // total, histogram bin, grid voxel — at a fixed seed, across the photon
 // loop's features: both boundary models, each per-interaction grid (fluence,
 // radial, path) alone and in combination, the detector, record_all_paths, a
-// layered head and an oblique source. Earlier documented re-records moved
-// the radial scorer from std::hypot to util::fast_radius and compiled the
-// loop once instead of once per grid combination. All hashes were last
-// re-recorded when the scalar scatter took the packet loop's azimuth and
-// rotation operators (mc::sincos_2pi, mc::rotate): an intentional last-bits
-// change in which no bin or photon fate moved, only the max-depth
-// histogram's moments and, under classical splitting, a few weight totals,
-// by at most a few tens of ulps.
+// layered head, an oblique source and the benchmark's grey-matter server
+// plan. Earlier documented re-records moved the radial scorer from
+// std::hypot to util::fast_radius and compiled the loop once instead of once
+// per grid combination. All hashes were last re-recorded when the scalar
+// scatter took the packet loop's azimuth and rotation operators
+// (mc::sincos_2pi, mc::rotate): an intentional last-bits change in which no
+// bin or photon fate moved, only the max-depth histogram's moments and,
+// under classical splitting, a few weight totals, by at most a few tens of
+// ulps.
 //
 // If a future "optimization" changes any of these hashes, it changed the
 // physics stream: same-seed reproducibility across the distributed
@@ -138,6 +139,18 @@ TEST(KernelGolden, WhiteMatterDivergingGaussianSource) {
   config.source.radius_mm = 1.0;
   config.source.half_angle_deg = 15.0;  // oblique entry refraction
   EXPECT_EQ(run_hash(config, 5'000), 0x48704649EBB96982ULL);
+}
+
+// The loop server_default and fine_chunk run: phodis_server's grey-matter
+// medium and default tally, two 500-photon tasks through the app's plan.
+TEST(KernelGolden, GreyMatterServerPlan) {
+  core::SimulationSpec spec;
+  spec.kernel.medium = mc::homogeneous_grey_matter();
+  spec.photons = 1'000;
+  spec.seed = 42;
+  const core::MonteCarloApp app(spec);
+  EXPECT_EQ(fnv1a64(app.run_parallel(1, 500).to_bytes()),
+            0xD600728B06989477ULL);
 }
 
 // --- sharded goldens: the parallel plan at 1/2/4/8 threads ------------------

@@ -2,6 +2,9 @@
 //
 //  * vmath accuracy: the documented ulp/absolute error bounds of vlog and
 //    vsincos_2pi, measured against libm / long-double references;
+//  * the scattering operators both loops share (mc/physics.hpp): the
+//    scalar sincos_2pi equals every build's vsincos_2pi bit for bit, and
+//    rotate keeps directions unit and realises the requested angle;
 //  * packet golden hashes: packet mode pins its OWN tally bytes (it is
 //    deliberately not bitwise-equal to scalar), reproducible serially and
 //    through the shard plan at every thread count;
@@ -17,10 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -29,11 +34,13 @@
 #include "exec/threadpool.hpp"
 #include "mc/kernel.hpp"
 #include "mc/packet_kernel.hpp"
+#include "mc/physics.hpp"
 #include "mc/presets.hpp"
 #include "mc/vmath.hpp"
 #include "obs/metrics.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
+#include "util/vec3.hpp"
 
 namespace {
 
@@ -130,6 +137,110 @@ TEST_P(Vmath, SincosMatchesLongDoubleWithinTwoPowMinus50) {
   // And the pair is a unit vector to the same tolerance class.
   for (std::size_t i = 0; i < kBatch; ++i) {
     EXPECT_NEAR(s[i] * s[i] + c[i] * c[i], 1.0, 1e-14);
+  }
+}
+
+// --- shared scattering operators ---------------------------------------------
+
+/// The u the azimuth tests sweep: 2^16 evenly spaced points of [0, 1),
+/// each octant boundary k/8 with its neighbours, and the last double
+/// below 1.
+std::vector<double> azimuth_sweep() {
+  std::vector<double> u;
+  for (int i = 0; i < (1 << 16); ++i) u.push_back(i / 65536.0);
+  for (int k = 0; k < 8; ++k) {
+    const double at = k / 8.0;
+    u.push_back(at);
+    if (k > 0) u.push_back(std::nextafter(at, 0.0));
+    u.push_back(std::nextafter(at, 1.0));
+  }
+  u.push_back(std::nextafter(1.0, 0.0));
+  return u;
+}
+
+TEST_P(Vmath, ScalarSincosEqualsBuildBitForBit) {
+  const std::vector<double> u = azimuth_sweep();
+  std::vector<double> s(u.size());
+  std::vector<double> c(u.size());
+  build().vsincos_2pi(u.data(), s.data(), c.data(), u.size());
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    const mc::SinCos phi = mc::sincos_2pi(u[i]);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(phi.sin),
+              std::bit_cast<std::uint64_t>(s[i]))
+        << "sin at u = " << u[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(phi.cos),
+              std::bit_cast<std::uint64_t>(c[i]))
+        << "cos at u = " << u[i];
+  }
+}
+
+TEST(ScatterOperators, SincosWithinTwoPowMinus50OfLongDouble) {
+  const long double two_pi_l = 2.0L * 3.14159265358979323846264338327950288L;
+  double max_err = 0.0;
+  for (const double u : azimuth_sweep()) {
+    const mc::SinCos phi = mc::sincos_2pi(u);
+    const long double a = two_pi_l * static_cast<long double>(u);
+    max_err = std::max(max_err, static_cast<double>(std::abs(
+                                    phi.sin - std::sin(a))));
+    max_err = std::max(max_err, static_cast<double>(std::abs(
+                                    phi.cos - std::cos(a))));
+  }
+  EXPECT_LE(max_err, 0x1.0p-50);
+}
+
+/// |dir| in long double, so the check sees the rounding of dir alone.
+long double norm_l(const util::Vec3& dir) {
+  const long double x = dir.x, y = dir.y, z = dir.z;
+  return std::sqrt(x * x + y * y + z * z);
+}
+
+// A photon's direction goes through rotate once per interaction, ~10^4
+// times per photon, each output the next input: the Newton step must keep
+// the norm pinned at 1 over the whole chain, not let it drift. The angle
+// holds to 1e-12 plus the update's own conditioning: it divides by
+// sqrt(1 - z^2), so within ~1e-6 of the axis the rounding of 1 - z^2 shows
+// as eps/(1 - z^2) (the exact-division form it replaced reaches 1.4e-11
+// on this chain).
+TEST(ScatterOperators, RotateKeepsUnitNormAndAngleOverAChain) {
+  constexpr double kUlp = std::numeric_limits<double>::epsilon();
+  util::Xoshiro256pp rng(23);
+  util::Vec3 dir{0.0, 0.0, 1.0};  // starts in the axis form
+  long double max_norm_err = 0.0L;
+  double max_cos_excess = 0.0;  // error beyond the bound; <= 0 passes
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double ct = 2.0 * rng.uniform() - 1.0;
+    const double st = std::sqrt(std::max(0.0, 1.0 - ct * ct));
+    const mc::SinCos phi = mc::sincos_2pi(rng.uniform());
+    const util::Vec3 out = mc::rotate(dir, ct, st, phi.cos, phi.sin);
+    max_norm_err = std::max(max_norm_err, std::abs(norm_l(out) - 1.0L));
+    const double bound = 1e-12 + kUlp / std::max(1.0 - dir.z * dir.z, kUlp);
+    max_cos_excess =
+        std::max(max_cos_excess, std::abs(out.dot(dir) - ct) - bound);
+    dir = out;
+  }
+  EXPECT_LE(max_norm_err, 4.0L * kUlp);
+  EXPECT_LE(max_cos_excess, 0.0);
+}
+
+// Along ±z the general update divides by sqrt(1 - z^2) ~ 0; rotate must
+// select the axis form there, which depends on dir only through the sign
+// of z, so a direction tilted inside the band turns exactly like the axis.
+TEST(ScatterOperators, RotateTakesTheAxisFormNearTheZAxis) {
+  constexpr double kUlp = std::numeric_limits<double>::epsilon();
+  const double tilt = 1e-6;  // |z| = 1 - 5e-13, inside the 1e-10 band
+  for (const double sign : {1.0, -1.0}) {
+    const util::Vec3 axis{0.0, 0.0, sign};
+    const util::Vec3 tilted{tilt, -tilt, sign * std::sqrt(1.0 - 2 * tilt * tilt)};
+    for (const double u : {0.0, 0.1, 0.3, 0.55, 0.8}) {
+      for (const double ct : {-0.9, -0.2, 0.0, 0.5, 0.99}) {
+        const double st = std::sqrt(1.0 - ct * ct);
+        const mc::SinCos phi = mc::sincos_2pi(u);
+        const util::Vec3 out = mc::rotate(axis, ct, st, phi.cos, phi.sin);
+        EXPECT_LE(std::abs(norm_l(out) - 1.0L), 4.0L * kUlp);
+        EXPECT_NEAR(out.dot(axis), ct, 1e-12);
+        EXPECT_EQ(mc::rotate(tilted, ct, st, phi.cos, phi.sin), out);
+      }
+    }
   }
 }
 
