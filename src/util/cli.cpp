@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <charconv>
-#include <cstdlib>
 #include <stdexcept>
 #include <system_error>
 
@@ -37,41 +36,44 @@ std::string CliArgs::get(const std::string& key,
   return it == options_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// `text` parsed whole into `value` by std::from_chars; throws
+/// std::invalid_argument naming --key and what it takes otherwise.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& text,
+              const char* takes) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    throw std::invalid_argument("--" + key + " takes " + takes + ", not \"" +
+                                text + "\"");
+  }
+  return value;
+}
+
+}  // namespace
+
 std::int64_t CliArgs::get_int(const std::string& key,
                               std::int64_t fallback) const {
   auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  return parse_whole<std::int64_t>(key, it->second, "an integer");
 }
 
 std::uint64_t CliArgs::get_count(const std::string& key,
                                  std::uint64_t fallback) const {
   auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  const std::string& text = it->second;
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end) {
-    throw std::invalid_argument("--" + key +
-                                " takes a non-negative integer, not \"" +
-                                text + "\"");
-  }
-  return value;
+  return parse_whole<std::uint64_t>(key, it->second,
+                                    "a non-negative integer");
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  return parse_whole<double>(key, it->second, "a number");
 }
 
 bool CliArgs::get_flag(const std::string& key) const {

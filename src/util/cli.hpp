@@ -15,12 +15,18 @@ class CliArgs {
 
   /// Value of --key, or fallback when absent.
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Value of --key as an integer, or fallback when absent. Throws
+  /// std::invalid_argument naming the flag when the value is not an
+  /// integer, only partly one ("2e5", "12x") or out of range.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   /// Value of --key as a count (a non-negative integer), or fallback when
   /// absent. Throws std::invalid_argument naming the flag when the value
   /// is negative, not a number, only partly one ("2e5") or out of range.
   std::uint64_t get_count(const std::string& key,
                           std::uint64_t fallback) const;
+  /// Value of --key as a number ("2.75", "-1e3"), or fallback when absent.
+  /// Throws std::invalid_argument naming the flag when the value is not a
+  /// number or only partly one ("2s", "1.5.2").
   double get_double(const std::string& key, double fallback) const;
   /// True when --key appears (with no value or any value other than
   /// "false"/"0"/"no").

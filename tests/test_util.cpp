@@ -301,11 +301,39 @@ TEST(Cli, FallbacksWhenAbsent) {
   EXPECT_FALSE(args.has("missing"));
 }
 
-TEST(Cli, MalformedNumbersFallBack) {
-  const char* argv[] = {"prog", "--n", "abc"};
-  CliArgs args(3, argv);
-  EXPECT_EQ(args.get_int("n", 9), 9);
-  EXPECT_DOUBLE_EQ(args.get_double("n", 1.5), 1.5);
+TEST(Cli, NumbersParseWholeOrThrowNamingTheFlag) {
+  // "2e5" is a partial integer ("2"), "12x" a partial number: both used to
+  // parse silently, and "abc" used to fall back to the default.
+  for (const char* value : {"abc", "2e5", "12x", "1.5.2"}) {
+    const char* argv[] = {"prog", "--photons", value};
+    CliArgs args(3, argv);
+    EXPECT_THROW(
+        {
+          try {
+            args.get_int("photons", 9);
+          } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find("--photons"),
+                      std::string::npos);
+            throw;
+          }
+        },
+        std::invalid_argument)
+        << value;
+  }
+  for (const char* value : {"abc", "12x", "1.5.2", "2s"}) {
+    const char* argv[] = {"prog", "--lease", value};
+    CliArgs args(3, argv);
+    EXPECT_THROW(args.get_double("lease", 1.5), std::invalid_argument)
+        << value;
+  }
+  const char* argv[] = {"prog", "--n", "-3", "--x", "2.75", "--y=-1e3",
+                        "--z", "2e5"};
+  CliArgs args(8, argv);
+  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("n", 0), -3.0);
+  EXPECT_DOUBLE_EQ(args.get_double("x", 0), 2.75);
+  EXPECT_DOUBLE_EQ(args.get_double("y", 0), -1000.0);
+  EXPECT_DOUBLE_EQ(args.get_double("z", 0), 2e5);
 }
 
 TEST(Cli, ExplicitFalseFlagValues) {
