@@ -38,8 +38,8 @@ std::string CliArgs::get(const std::string& key,
 
 namespace {
 
-/// `text` parsed whole into `value` by std::from_chars; throws
-/// std::invalid_argument naming --key and what it takes otherwise.
+/// `text` parsed whole as a T by std::from_chars. Anything else, a partial
+/// parse included, throws std::invalid_argument naming --key and `takes`.
 template <typename T>
 T parse_whole(const std::string& key, const std::string& text,
               const char* takes) {

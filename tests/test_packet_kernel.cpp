@@ -199,8 +199,8 @@ long double norm_l(const util::Vec3& dir) {
 // the norm pinned at 1 over the whole chain, not let it drift. The angle
 // holds to 1e-12 plus the update's own conditioning: it divides by
 // sqrt(1 - z^2), so within ~1e-6 of the axis the rounding of 1 - z^2 shows
-// as eps/(1 - z^2) (the exact-division form it replaced reaches 1.4e-11
-// on this chain).
+// as eps/(1 - z^2) (exact division and sqrt renormalisation do no better:
+// 1.4e-11 on this chain).
 TEST(ScatterOperators, RotateKeepsUnitNormAndAngleOverAChain) {
   constexpr double kUlp = std::numeric_limits<double>::epsilon();
   util::Xoshiro256pp rng(23);
