@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const auto photons =
       static_cast<std::uint64_t>(args.get_int("photons", 80'000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2006));
+  const auto seed = args.get_count("seed", 2006);
 
   std::cout << "=== Boundary-model ablation: probabilistic vs classical "
                "(deterministic weight splitting at exterior interfaces) "

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("granularity", 50));
   const double separation = args.get_double("separation", 8.0);
   const double threshold = args.get_double("threshold", 1e-3);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2006));
+  const auto seed = args.get_count("seed", 2006);
 
   std::cout << "=== Fig. 3: detected photon paths in homogeneous white "
                "matter (laser source, granularity "

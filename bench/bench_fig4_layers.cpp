@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const auto granularity =
       static_cast<std::size_t>(args.get_int("granularity", 50));
   const double separation = args.get_double("separation", 30.0);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2006));
+  const auto seed = args.get_count("seed", 2006);
 
   std::cout << "=== Fig. 4: photon paths through the layered adult head "
                "model (Table 1) ===\n"

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   options.photons =
       static_cast<std::uint64_t>(args.get_int("photons", 20'000));
   options.reps = std::max(1, static_cast<int>(args.get_int("reps", 5)));
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  options.seed = args.get_count("seed", 42);
   if (args.get_flag("quick")) {
     options.photons = 4'000;
     options.reps = 3;

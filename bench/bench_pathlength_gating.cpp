@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const auto photons =
       static_cast<std::uint64_t>(args.get_int("photons", 60'000));
   const double separation = args.get_double("separation", 10.0);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2006));
+  const auto seed = args.get_count("seed", 2006);
 
   // Diffusive reference medium (detections plentiful at laptop budgets).
   core::SimulationSpec spec;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const auto photons =
       static_cast<std::uint64_t>(args.get_int("photons", 200'000'000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2006));
+  const auto seed = args.get_count("seed", 2006);
 
   cluster::ClusterConfig base;
   base.fleet = cluster::table2_fleet();

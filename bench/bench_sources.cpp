@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const auto photons =
       static_cast<std::uint64_t>(args.get_int("photons", 40'000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2006));
+  const auto seed = args.get_count("seed", 2006);
 
   std::cout << "=== Source-footprint study (paper Sect. 4) ===\n\n";
 

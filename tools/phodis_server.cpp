@@ -68,25 +68,27 @@ phodis::core::SimulationSpec make_spec(std::uint64_t photons,
 int main(int argc, char** argv) {
   using namespace phodis;
   const util::CliArgs args(argc, argv);
-  const std::string listen_spec =
-      args.get("listen", "tcp:127.0.0.1:4070");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
-  const double lease_s = args.get_double("lease", 2.0);
-  const std::string checkpoint_path = args.get("checkpoint", "");
-  dist::FaultSpec faults;
-  faults.drop_probability = args.get_double("drop", 0.0);
-  faults.seed = static_cast<std::uint64_t>(args.get_int("drop-seed", 2006));
-  const std::string metrics_path = args.get("metrics-json", "");
-  const std::string trace_path = args.get("trace", "");
   util::set_log_level(util::parse_log_level(args.get("log-level", "info")));
-  if (!trace_path.empty()) obs::TraceRecorder::global().enable();
 
+  // Every flag is parsed inside the try, so a malformed one ends in the
+  // error line and exit 1, not in std::terminate.
   try {
+    const std::string listen_spec =
+        args.get("listen", "tcp:127.0.0.1:4070");
+    const std::uint64_t seed = args.get_count("seed", 11);
+    const double lease_s = args.get_double("lease", 2.0);
+    const std::string checkpoint_path = args.get("checkpoint", "");
+    dist::FaultSpec faults;
+    faults.drop_probability = args.get_double("drop", 0.0);
+    faults.seed = args.get_count("drop-seed", 2006);
+    const std::string metrics_path = args.get("metrics-json", "");
+    const std::string trace_path = args.get("trace", "");
     const std::uint64_t photons = args.get_count("photons", 200'000);
     std::uint64_t chunk = args.get_count("chunk", 0);
     const std::uint64_t verify_threads = args.get_count("verify-threads", 1);
     const mc::KernelMode mode =
         mc::parse_kernel_mode(args.get("kernel-mode", "scalar"));
+    if (!trace_path.empty()) obs::TraceRecorder::global().enable();
     const core::MonteCarloApp app(make_spec(photons, seed, mode));
     if (chunk == 0) chunk = dist::suggest_chunk_size(photons, 4);
     core::PlanServer plan(app, chunk, lease_s, checkpoint_path);

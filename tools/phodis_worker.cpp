@@ -58,20 +58,21 @@
 int main(int argc, char** argv) {
   using namespace phodis;
   const util::CliArgs args(argc, argv);
-  const std::string connect_spec =
-      args.get("connect", "tcp:127.0.0.1:4070");
-  std::string default_name = "w";
-  default_name += std::to_string(::getpid());
-  const std::string name = args.get("name", default_name);
-  dist::FaultSpec faults;
-  faults.drop_probability = args.get_double("drop", 0.0);
-  faults.seed = static_cast<std::uint64_t>(args.get_int("drop-seed", 2006));
-  const std::string metrics_path = args.get("metrics-json", "");
-  const std::string trace_path = args.get("trace", "");
   util::set_log_level(util::parse_log_level(args.get("log-level", "info")));
-  if (!trace_path.empty()) obs::TraceRecorder::global().enable();
 
+  // Every flag is parsed inside the try, so a malformed one ends in the
+  // error line and exit 1, not in std::terminate.
   try {
+    const std::string connect_spec =
+        args.get("connect", "tcp:127.0.0.1:4070");
+    std::string default_name = "w";
+    default_name += std::to_string(::getpid());
+    const std::string name = args.get("name", default_name);
+    dist::FaultSpec faults;
+    faults.drop_probability = args.get_double("drop", 0.0);
+    faults.seed = args.get_count("drop-seed", 2006);
+    const std::string metrics_path = args.get("metrics-json", "");
+    const std::string trace_path = args.get("trace", "");
     const std::uint64_t threads_arg = args.get_count("threads", 0);
     const std::size_t slots =
         threads_arg == 0 ? exec::ThreadPool::default_thread_count()
@@ -82,8 +83,7 @@ int main(int argc, char** argv) {
     dist::WorkerLoopOptions options;
     options.name = name;
     options.death_probability = args.get_double("death", 0.0);
-    options.death_seed =
-        static_cast<std::uint64_t>(args.get_int("death-seed", 2006));
+    options.death_seed = args.get_count("death-seed", 2006);
     dist::TaskExecutor executor = &core::Algorithm::execute;
     if (const std::string mode_arg = args.get("kernel-mode", "auto");
         mode_arg != "auto") {
@@ -97,6 +97,7 @@ int main(int argc, char** argv) {
         return inner(task_id, task.encode());
       };
     }
+    if (!trace_path.empty()) obs::TraceRecorder::global().enable();
     const dist::WorkerLoopOutcome outcome =
         dist::run_worker_slots(slots,
                                net::slot_clients(server, faults, slots,
