@@ -29,8 +29,8 @@ struct Estimate {
   double seconds = 0.0;
 };
 
-Estimate run(const Medium& medium, phodis::mc::BoundaryModel model,
-             std::uint64_t photons, std::uint64_t seed) {
+Estimate run_model(const Medium& medium, phodis::mc::BoundaryModel model,
+                   std::uint64_t photons, std::uint64_t seed) {
   using namespace phodis;
   constexpr int kReplicas = 8;
   std::vector<double> rd(kReplicas);
@@ -59,11 +59,9 @@ Estimate run(const Medium& medium, phodis::mc::BoundaryModel model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 80'000));
+  const auto photons = args.get_count("photons", 80'000);
   const auto seed = args.get_count("seed", 2006);
 
   std::cout << "=== Boundary-model ablation: probabilistic vs classical "
@@ -92,7 +90,7 @@ int main(int argc, char** argv) {
   for (const Medium& medium : media) {
     for (const mc::BoundaryModel model :
          {mc::BoundaryModel::kProbabilistic, mc::BoundaryModel::kClassical}) {
-      const Estimate e = run(medium, model, photons, seed);
+      const Estimate e = run_model(medium, model, photons, seed);
       table.add_row({medium.label, mc::to_string(model),
                      util::format_double(e.rd_mean, 5),
                      util::format_double(e.rd_stderr, 3),
@@ -110,4 +108,8 @@ int main(int argc, char** argv) {
                "for variance at mismatched boundaries)\n"
             << "written to " << csv.path() << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

@@ -16,13 +16,10 @@
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 100'000));
-  const auto chunk =
-      static_cast<std::uint64_t>(args.get_int("chunk", 10'000));
+  const auto photons = args.get_count("photons", 100'000);
+  const auto chunk = args.get_count("chunk", 10'000);
 
   core::SimulationSpec spec;
   mc::OpticalProperties p;
@@ -79,4 +76,8 @@ int main(int argc, char** argv) {
   std::cout << "\n(every distributed run reproduced the serial tally "
                "bitwise, including under fault injection)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

@@ -17,6 +17,7 @@
 //        section), --measure-threads K (default max(4, cores))
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,17 +93,25 @@ bool run_measured_section(std::uint64_t photons, std::size_t max_threads,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
   const std::string out_dir =
       args.get("out-dir", util::default_output_dir());
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 1'000'000'000));
-  const auto chunk =
-      static_cast<std::uint64_t>(args.get_int("chunk", 1'000'000));
-  const auto max_procs =
-      static_cast<std::size_t>(args.get_int("max-procs", 60));
+  const auto photons = args.get_count("photons", 1'000'000'000);
+  const auto chunk = args.get_count("chunk", 1'000'000);
+  const auto max_procs = args.get_count("max-procs", 60);
+  if (max_procs == 0) {
+    throw std::invalid_argument(
+        "--max-procs takes a positive integer, not \"0\"");
+  }
+  const auto measure_photons = args.get_count("measure-photons", 60'000);
+  // 0 means "one per core", like phodis_worker --threads.
+  std::size_t measure_threads = args.get_count(
+      "measure-threads",
+      std::max<std::size_t>(4, exec::ThreadPool::default_thread_count()));
+  if (measure_threads == 0) {
+    measure_threads = exec::ThreadPool::default_thread_count();
+  }
 
   std::cout << "=== Fig. 2: speedup vs number of homogeneous processors ===\n"
             << "workload: " << photons << " photons, chunks of " << chunk
@@ -164,19 +173,8 @@ int main(int argc, char** argv) {
             << "series written to " << csv.path() << "\n";
   const bool simulated_ok = last.efficiency > 0.90 && last.efficiency <= 1.0;
 
-  const auto measure_photons = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, args.get_int("measure-photons", 60'000)));
   bool measured_ok = true;
   if (measure_photons > 0) {
-    // 0 (or anything non-positive) means "one per core", like
-    // phodis_worker --threads.
-    const std::int64_t requested = args.get_int(
-        "measure-threads",
-        static_cast<std::int64_t>(std::max<std::size_t>(
-            4, exec::ThreadPool::default_thread_count())));
-    const std::size_t measure_threads =
-        requested > 0 ? static_cast<std::size_t>(requested)
-                      : exec::ThreadPool::default_thread_count();
     measured_ok =
         run_measured_section(measure_photons, measure_threads, out_dir);
     if (!measured_ok) {
@@ -185,4 +183,8 @@ int main(int argc, char** argv) {
     }
   }
   return (simulated_ok && measured_ok) ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

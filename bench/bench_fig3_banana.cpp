@@ -19,13 +19,10 @@
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 150'000));
-  const auto granularity =
-      static_cast<std::size_t>(args.get_int("granularity", 50));
+  const auto photons = args.get_count("photons", 150'000);
+  const auto granularity = args.get_count("granularity", 50);
   const double separation = args.get_double("separation", 8.0);
   const double threshold = args.get_double("threshold", 1e-3);
   const auto seed = args.get_count("seed", 2006);
@@ -82,13 +79,20 @@ int main(int argc, char** argv) {
                      tally.mean_detected_pathlength() / separation, 4)});
   table.print(std::cout);
 
-  analysis::write_csv_slice(grid, "fig3_banana_slice.csv");
-  util::CsvWriter profile_csv("fig3_depth_profile.csv");
+  const std::string slice_path =
+      util::output_file(args, "fig3_banana_slice.csv");
+  analysis::write_csv_slice(grid, slice_path);
+  util::CsvWriter profile_csv(
+      util::output_file(args, "fig3_depth_profile.csv"));
   profile_csv.header({"x_mm", "total_visits", "mean_depth_mm"});
   for (const auto& point : metrics.profile) {
     profile_csv.row({point.x_mm, point.total_visits, point.mean_depth_mm});
   }
-  std::cout << "\nslice written to fig3_banana_slice.csv, depth profile to "
-               "fig3_depth_profile.csv\n";
+  std::cout << "\nslice written to " << slice_path << ", depth profile to "
+            << profile_csv.path() << "\n";
   return metrics.is_banana_shaped() ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

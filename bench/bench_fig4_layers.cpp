@@ -20,13 +20,10 @@
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 60'000));
-  const auto granularity =
-      static_cast<std::size_t>(args.get_int("granularity", 50));
+  const auto photons = args.get_count("photons", 60'000);
+  const auto granularity = args.get_count("granularity", 50);
   const double separation = args.get_double("separation", 30.0);
   const auto seed = args.get_count("seed", 2006);
 
@@ -88,9 +85,6 @@ int main(int argc, char** argv) {
   }
   depths.print(std::cout);
 
-  const double reached_white =
-      1.0 - depth.quantile(0.0);  // placeholder replaced below
-  (void)reached_white;
   // Fraction of photons whose paths reached each interface.
   double reach_csf = 0.0;
   double reach_white = 0.0;
@@ -122,4 +116,8 @@ int main(int argc, char** argv) {
                       0.3 &&          // most photons come back out
                   reach_white > 0.0;  // but some reach white matter
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

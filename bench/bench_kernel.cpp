@@ -45,6 +45,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,17 +107,17 @@ bench::PresetResult measure_sharded(const std::string& name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+int run(const util::CliArgs& args) {
   const std::string metrics_path = args.get("metrics-json", "");
   const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) obs::TraceRecorder::global().enable();
 
   bench::MeasureOptions options;
-  options.photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 20'000));
-  options.reps = std::max(1, static_cast<int>(args.get_int("reps", 5)));
+  options.photons = args.get_count("photons", 20'000);
+  options.reps = static_cast<int>(std::clamp<std::uint64_t>(
+      args.get_count("reps", 5), 1, std::numeric_limits<int>::max()));
   options.seed = args.get_count("seed", 42);
+  const std::uint64_t threads = args.get_count("threads", 0);
   if (args.get_flag("quick")) {
     options.photons = 4'000;
     options.reps = 3;
@@ -191,11 +192,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (const auto threads = args.get_int("threads", 0); threads > 1) {
+    if (threads > 1) {
       const std::string name = "two_layer_mt" + std::to_string(threads);
       bench::PresetResult r =
-          measure_sharded(name, presets[0].kernel,
-                          static_cast<std::size_t>(threads), options);
+          measure_sharded(name, presets[0].kernel, threads, options);
       r.mode = mode_name;
       if (packet) r.isa = mc::to_string(dispatched);
       record(std::move(r));
@@ -235,4 +235,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

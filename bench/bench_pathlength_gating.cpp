@@ -7,7 +7,7 @@
 // diffusive medium and reports detected fraction + mean pathlength per
 // gate, plus the ungated pathlength histogram.
 //
-// Flags: --photons N (default 120000), --separation mm (10), --seed S
+// Flags: --photons N (default 60000), --separation mm (10), --seed S
 #include <cmath>
 #include <iostream>
 #include <limits>
@@ -18,11 +18,9 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 60'000));
+  const auto photons = args.get_count("photons", 60'000);
   const double separation = args.get_double("separation", 10.0);
   const auto seed = args.get_count("seed", 2006);
 
@@ -100,4 +98,8 @@ int main(int argc, char** argv) {
                "short, shallow paths; late gates the deep wanderers)\n"
             << "sweep written to " << csv.path() << "\n";
   return open_tally.photons_detected() > 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

@@ -18,11 +18,9 @@
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 300'000));
+  const auto photons = args.get_count("photons", 300'000);
   const auto seed = args.get_count("seed", 2006);
 
   mc::OpticalProperties p;
@@ -81,4 +79,8 @@ int main(int argc, char** argv) {
                "validates the kernel)\n"
             << "series written to " << csv.path() << "\n";
   return worst_ratio < 2.0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

@@ -22,11 +22,9 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 200'000'000));
+  const auto photons = args.get_count("photons", 200'000'000);
   const auto seed = args.get_count("seed", 2006);
 
   cluster::ClusterConfig base;
@@ -153,4 +151,8 @@ int main(int argc, char** argv) {
                "static schedules — greedy / GA of ref. [4] — avoid both)\n"
             << "written to " << csv.path() << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

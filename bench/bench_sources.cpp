@@ -26,11 +26,9 @@ struct SourceCase {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 40'000));
+  const auto photons = args.get_count("photons", 40'000);
   const auto seed = args.get_count("seed", 2006);
 
   std::cout << "=== Source-footprint study (paper Sect. 4) ===\n\n";
@@ -123,4 +121,8 @@ int main(int argc, char** argv) {
             << "series written to " << csv.path() << ", "
             << beam_csv.path() << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

@@ -6,10 +6,11 @@
 #include <iostream>
 
 #include "mc/presets.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main() {
+int run(const phodis::util::CliArgs& /*args*/) {
   using namespace phodis;
 
   std::cout << "=== Table 1: Thickness and optical properties (NIR) of "
@@ -66,4 +67,8 @@ int main() {
   ok &= head.layer(2).props.mus_reduced() < head.layer(3).props.mus_reduced();
   std::cout << "\nInvariants: " << (ok ? "OK" : "VIOLATED") << "\n";
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

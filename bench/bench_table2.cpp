@@ -7,9 +7,10 @@
 
 #include "cluster/fleet.hpp"
 #include "cluster/simulator.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int run(const phodis::util::CliArgs& /*args*/) {
   using namespace phodis;
 
   std::cout << "=== Table 2: Distributed system resources ===\n\n";
@@ -46,4 +47,8 @@ int main() {
 
   const bool ok = fleet.size() == 150 && report.makespan_s > 0.0;
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

@@ -19,12 +19,12 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 60'000));
+  const auto photons = args.get_count("photons", 60'000);
   const double separation = args.get_double("separation", 30.0);
+  const auto workers = args.get_count("workers", 4);
+  const auto traces = args.get_count("trace", 3);
 
   core::SimulationSpec spec =
       core::fig4_head_spec(photons, 50, separation, 7);
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   core::MonteCarloApp app(spec);
   core::ExecutionOptions options;
-  options.workers = static_cast<std::size_t>(args.get_int("workers", 4));
+  options.workers = workers;
   const core::RunSummary summary = app.run_distributed(options);
   const mc::SimulationTally& tally = summary.tally;
 
@@ -81,7 +81,6 @@ int main(int argc, char** argv) {
             << tally.depth_histogram().quantile(0.999) << " mm\n";
 
   // Sample individual photon paths for intuition.
-  const auto traces = static_cast<std::size_t>(args.get_int("trace", 3));
   if (traces > 0) {
     std::cout << "\nsample photon paths (first vertices):\n";
     const mc::Kernel kernel(spec.kernel);
@@ -101,4 +100,8 @@ int main(int argc, char** argv) {
             << analysis::render_ascii_slice(*tally.fluence_grid(),
                                             {0.0, true, 1e-4, 80, 30});
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

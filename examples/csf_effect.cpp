@@ -83,10 +83,8 @@ Outcome simulate(bool clear_csf, std::uint64_t photons) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 60'000));
+int run(const util::CliArgs& args) {
+  const auto photons = args.get_count("photons", 60'000);
 
   std::cout << "CSF effect study (paper Sect. 2 / Okada & Delpy): "
             << photons << " photons per model\n\n";
@@ -114,4 +112,8 @@ int main(int argc, char** argv) {
                "into the grey matter instead of being scattered straight "
                "back — compare the reach and absorption columns)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

@@ -19,11 +19,9 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
-  const auto photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 150'000));
+  const auto photons = args.get_count("photons", 150'000);
   const double mua = args.get_double("mua", 0.01);
   const double musp = args.get_double("musp", 1.0);
 
@@ -74,4 +72,8 @@ int main(int argc, char** argv) {
                "differential pathlength — the paper's Sect. 1/2 "
                "discussion)\nwritten to " << csv.path() << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

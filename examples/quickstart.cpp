@@ -20,9 +20,8 @@
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
   const std::string metrics_path = args.get("metrics-json", "");
   const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) obs::TraceRecorder::global().enable();
@@ -40,15 +39,14 @@ int main(int argc, char** argv) {
   detector.radius_mm = 2.0;
   spec.kernel.detector = detector;
 
-  spec.photons =
-      static_cast<std::uint64_t>(args.get_int("photons", 50'000));
+  spec.photons = args.get_count("photons", 50'000);
   spec.seed = 42;
   spec.kernel.mode = mc::parse_kernel_mode(args.get("kernel-mode", "scalar"));
 
   // 3. Run on the in-process distributed platform (DataManager + workers).
   core::MonteCarloApp app(spec);
   core::ExecutionOptions options;
-  options.workers = static_cast<std::size_t>(args.get_int("workers", 4));
+  options.workers = args.get_count("workers", 4);
   const core::RunSummary summary = app.run_distributed(options);
   const mc::SimulationTally& tally = summary.tally;
 
@@ -80,4 +78,8 @@ int main(int argc, char** argv) {
     std::cout << "trace:                   " << trace_path << "\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }

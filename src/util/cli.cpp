@@ -1,8 +1,11 @@
 #include "util/cli.hpp"
 
 #include <charconv>
+#include <exception>
 #include <stdexcept>
 #include <system_error>
+
+#include "util/log.hpp"
 
 namespace phodis::util {
 
@@ -84,6 +87,16 @@ bool CliArgs::get_flag(const std::string& key) const {
 
 bool CliArgs::has(const std::string& key) const {
   return options_.count(key) != 0;
+}
+
+int run_main(int argc, char** argv, int (*run)(const CliArgs& args)) {
+  try {
+    return run(CliArgs(argc, argv));
+  } catch (const std::exception& error) {
+    const std::string path = argc > 0 ? argv[0] : "";
+    log_error() << path.substr(path.rfind('/') + 1) << ": " << error.what();
+    return 1;
+  }
 }
 
 }  // namespace phodis::util

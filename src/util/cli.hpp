@@ -1,4 +1,5 @@
-// Tiny command-line option parser used by examples and benches.
+// Tiny command-line option parser used by examples, benches and the
+// cluster tools, and run_main, the one way into their main functions.
 // Supports `--key value`, `--key=value`, and boolean `--flag` forms.
 #pragma once
 
@@ -45,5 +46,12 @@ class CliArgs {
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// The whole body of a bench, example or cluster-tool main:
+///   return util::run_main(argc, argv, run);
+/// Builds the CliArgs and returns run(args). A std::exception out of run,
+/// a malformed flag included, becomes one error line, "<program>: <what>"
+/// with argv[0]'s basename as the program, and exit status 1.
+int run_main(int argc, char** argv, int (*run)(const CliArgs& args));
 
 }  // namespace phodis::util

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
@@ -382,6 +383,29 @@ TEST(Cli, CountsRejectNegativePartialAndNonNumbers) {
   const char* argv[] = {"prog", "--threads"};
   CliArgs args(2, argv);
   EXPECT_THROW(args.get_count("threads", 0), std::invalid_argument);
+}
+
+TEST(Cli, RunMainPassesTheExitOnAndTurnsAnErrorIntoOneLine) {
+  std::vector<std::string> lines;
+  set_log_sink([&lines](LogLevel, const std::string& message) {
+    lines.push_back(message);
+  });
+  const auto photons_as_exit = [](const CliArgs& args) {
+    return static_cast<int>(args.get_count("photons", 0));
+  };
+  char program[] = "build/bench/bench_demo";
+  char flag[] = "--photons";
+  char good[] = "7";
+  char bad[] = "-1";
+  char* good_argv[] = {program, flag, good};
+  char* bad_argv[] = {program, flag, bad};
+  EXPECT_EQ(run_main(3, good_argv, photons_as_exit), 7);
+  EXPECT_TRUE(lines.empty());
+  EXPECT_EQ(run_main(3, bad_argv, photons_as_exit), 1);
+  set_log_sink({});
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0],
+            "bench_demo: --photons takes a non-negative integer, not \"-1\"");
 }
 
 // ---------- csv --------------------------------------------------------------

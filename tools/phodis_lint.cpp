@@ -12,11 +12,13 @@
 // reason the code it checks must be. Exit 1 on any unsuppressed violation
 // or a broken ratchet, 2 on usage/IO errors.
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -80,7 +82,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::stoul(argv[++i]));
+      // Parsed whole as a count: "abc", "-1" and "4x" are usage errors.
+      const std::string value = argv[++i];
+      const char* end = value.data() + value.size();
+      const auto [stop, error] = std::from_chars(value.data(), end, jobs);
+      if (error != std::errc() || stop != end) {
+        phodis::util::log_error() << "phodis_lint: --jobs takes a "
+                                     "non-negative integer, not \""
+                                  << value << "\"";
+        usage();
+        return 2;
+      }
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

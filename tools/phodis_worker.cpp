@@ -55,75 +55,70 @@
 #include "util/cli.hpp"
 #include "util/log.hpp"
 
-int main(int argc, char** argv) {
+int run(const phodis::util::CliArgs& args) {
   using namespace phodis;
-  const util::CliArgs args(argc, argv);
   util::set_log_level(util::parse_log_level(args.get("log-level", "info")));
-
-  // Every flag is parsed inside the try, so a malformed one ends in the
-  // error line and exit 1, not in std::terminate.
-  try {
-    const std::string connect_spec =
-        args.get("connect", "tcp:127.0.0.1:4070");
-    std::string default_name = "w";
-    default_name += std::to_string(::getpid());
-    const std::string name = args.get("name", default_name);
-    dist::FaultSpec faults;
-    faults.drop_probability = args.get_double("drop", 0.0);
-    faults.seed = args.get_count("drop-seed", 2006);
-    const std::string metrics_path = args.get("metrics-json", "");
-    const std::string trace_path = args.get("trace", "");
-    const std::uint64_t threads_arg = args.get_count("threads", 0);
-    const std::size_t slots =
-        threads_arg == 0 ? exec::ThreadPool::default_thread_count()
-                         : static_cast<std::size_t>(threads_arg);
-    net::ReconnectPolicy reconnect;
-    reconnect.max_attempts = args.get_count("reconnect-attempts", 20);
-    const net::Address server = net::Address::parse(connect_spec);
-    dist::WorkerLoopOptions options;
-    options.name = name;
-    options.death_probability = args.get_double("death", 0.0);
-    options.death_seed = args.get_count("death-seed", 2006);
-    dist::TaskExecutor executor = &core::Algorithm::execute;
-    if (const std::string mode_arg = args.get("kernel-mode", "auto");
-        mode_arg != "auto") {
-      const mc::KernelMode forced = mc::parse_kernel_mode(mode_arg);
-      executor = [inner = std::move(executor), forced](
-                     std::uint64_t task_id,
-                     const std::vector<std::uint8_t>& payload) {
-        core::TaskPayload task = core::TaskPayload::decode(payload);
-        if (task.spec.kernel.mode == forced) return inner(task_id, payload);
-        task.spec.kernel.mode = forced;
-        return inner(task_id, task.encode());
-      };
-    }
-    if (!trace_path.empty()) obs::TraceRecorder::global().enable();
-    const dist::WorkerLoopOutcome outcome =
-        dist::run_worker_slots(slots,
-                               net::slot_clients(server, faults, slots,
-                                                 reconnect),
-                               executor, options,
-                               /*send_metrics_snapshot=*/true);
-    std::cout << "phodis_worker " << outcome.final_name << ": executed "
-              << outcome.tasks_executed << " tasks on " << slots
-              << (slots == 1 ? " slot" : " slots") << ", died "
-              << outcome.deaths << " times, "
-              << (outcome.saw_shutdown ? "shut down by server"
-                                       : "lost the server")
-              << "\n";
-    if (!metrics_path.empty()) {
-      obs::write_metrics_json(obs::registry().snapshot(), metrics_path);
-      std::cout << "phodis_worker " << outcome.final_name
-                << ": metrics report: " << metrics_path << "\n";
-    }
-    if (!trace_path.empty()) {
-      obs::TraceRecorder::global().write_json(trace_path);
-      std::cout << "phodis_worker " << outcome.final_name
-                << ": trace: " << trace_path << "\n";
-    }
-    return outcome.saw_shutdown ? 0 : 2;
-  } catch (const std::exception& error) {
-    util::log_error() << "phodis_worker: " << error.what();
-    return 1;
+  const std::string connect_spec =
+      args.get("connect", "tcp:127.0.0.1:4070");
+  std::string default_name = "w";
+  default_name += std::to_string(::getpid());
+  const std::string name = args.get("name", default_name);
+  dist::FaultSpec faults;
+  faults.drop_probability = args.get_double("drop", 0.0);
+  faults.seed = args.get_count("drop-seed", 2006);
+  const std::string metrics_path = args.get("metrics-json", "");
+  const std::string trace_path = args.get("trace", "");
+  const std::uint64_t threads_arg = args.get_count("threads", 0);
+  const std::size_t slots =
+      threads_arg == 0 ? exec::ThreadPool::default_thread_count()
+                       : static_cast<std::size_t>(threads_arg);
+  net::ReconnectPolicy reconnect;
+  reconnect.max_attempts = args.get_count("reconnect-attempts", 20);
+  const net::Address server = net::Address::parse(connect_spec);
+  dist::WorkerLoopOptions options;
+  options.name = name;
+  options.death_probability = args.get_double("death", 0.0);
+  options.death_seed = args.get_count("death-seed", 2006);
+  dist::TaskExecutor executor = &core::Algorithm::execute;
+  if (const std::string mode_arg = args.get("kernel-mode", "auto");
+      mode_arg != "auto") {
+    const mc::KernelMode forced = mc::parse_kernel_mode(mode_arg);
+    executor = [inner = std::move(executor), forced](
+                   std::uint64_t task_id,
+                   const std::vector<std::uint8_t>& payload) {
+      core::TaskPayload task = core::TaskPayload::decode(payload);
+      if (task.spec.kernel.mode == forced) return inner(task_id, payload);
+      task.spec.kernel.mode = forced;
+      return inner(task_id, task.encode());
+    };
   }
+  if (!trace_path.empty()) obs::TraceRecorder::global().enable();
+  const dist::WorkerLoopOutcome outcome =
+      dist::run_worker_slots(slots,
+                             net::slot_clients(server, faults, slots,
+                                               reconnect),
+                             executor, options,
+                             /*send_metrics_snapshot=*/true);
+  std::cout << "phodis_worker " << outcome.final_name << ": executed "
+            << outcome.tasks_executed << " tasks on " << slots
+            << (slots == 1 ? " slot" : " slots") << ", died "
+            << outcome.deaths << " times, "
+            << (outcome.saw_shutdown ? "shut down by server"
+                                     : "lost the server")
+            << "\n";
+  if (!metrics_path.empty()) {
+    obs::write_metrics_json(obs::registry().snapshot(), metrics_path);
+    std::cout << "phodis_worker " << outcome.final_name
+              << ": metrics report: " << metrics_path << "\n";
+  }
+  if (!trace_path.empty()) {
+    obs::TraceRecorder::global().write_json(trace_path);
+    std::cout << "phodis_worker " << outcome.final_name
+              << ": trace: " << trace_path << "\n";
+  }
+  return outcome.saw_shutdown ? 0 : 2;
+}
+
+int main(int argc, char** argv) {
+  return phodis::util::run_main(argc, argv, run);
 }
